@@ -35,19 +35,20 @@ object CostModel {
   */
 final class CostTracker(model: CostModel = CostModel.default) {
   private val triplesPerEntity = mutable.Map.empty[Long, Int]
-  private val clusterSizes     = mutable.Map.empty[Long, Int]
+  private var triplesTotal     = 0L
 
   /** Record that `count` triples of cluster `id` (size `clusterSize`) were annotated. */
   def record(id: Long, clusterSize: Int, count: Int): Unit = {
     require(count >= 0 && count <= clusterSize,
       s"annotated $count of cluster $id with size $clusterSize")
-    clusterSizes(id) = clusterSize
     val prev = triplesPerEntity.getOrElse(id, 0)
-    triplesPerEntity(id) = math.min(clusterSize, prev + count)
+    val now  = math.min(clusterSize, prev + count)
+    triplesPerEntity(id) = now
+    triplesTotal += now - prev
   }
 
   def entities: Int  = triplesPerEntity.size
-  def triples: Long  = triplesPerEntity.valuesIterator.map(_.toLong).sum
+  def triples: Long  = triplesTotal
   def seconds: Double = model.seconds(entities.toLong, triples)
   def hours: Double   = seconds / 3600.0
 }

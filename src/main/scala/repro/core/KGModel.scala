@@ -27,9 +27,9 @@ final case class KGSummary(clusters: Array[Cluster]) {
   /** N — number of entity clusters. */
   val numClusters: Int = clusters.length
   /** M — total number of triples. */
-  val numTriples: Long = clusters.map(_.size.toLong).sum
+  val numTriples: Long = clusters.iterator.map(_.size.toLong).sum
   /** True KG accuracy μ(G) = Σ τ_i / M. */
-  val accuracy: Double = clusters.map(_.tau.toLong).sum.toDouble / numTriples
+  val accuracy: Double = clusters.iterator.map(_.tau.toLong).sum.toDouble / numTriples
   /** Mean cluster size M/N. */
   def meanClusterSize: Double = numTriples.toDouble / numClusters
 
@@ -57,7 +57,4 @@ object KGSummary {
       r.getAs[Long]("size").toInt,
       r.getAs[Long]("tau").toInt)))
   }
-
-  /** Build directly from driver-side clusters (evolving-KG update batches). */
-  def local(clusters: Seq[Cluster]): KGSummary = KGSummary(clusters.toArray)
 }

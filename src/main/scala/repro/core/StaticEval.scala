@@ -7,26 +7,26 @@ import scala.util.Random
   *
   * @param eps             user-required margin of error (default 5%)
   * @param alpha           1 - confidence level (default 5% -> 95% CI)
-  * @param srsBatch        triples per SRS iteration; also the CLT minimum n
-  * @param clusterBatch    first-stage cluster draws per iteration
-  * @param minClusterDraws minimum first-stage draws before the MoE stop rule
-  * @param minTriples      minimum annotated triples before the MoE stop rule
-  *                        for cluster designs (the CLT n>30 rule of thumb —
-  *                        reproduces the paper's ~30-triple YAGO samples and
-  *                        its ~24-draw TWCS(m=10) run on MOVIE)
   * @param maxCostSeconds  annotation budget; exceeded => stop unconverged
   *                        (the paper caps RCS/WCS on MOVIE at 5 hours)
   */
 final case class EvalConfig(eps: Double = 0.05,
                             alpha: Double = 0.05,
-                            srsBatch: Int = 30,
-                            clusterBatch: Int = 5,
-                            minClusterDraws: Int = 5,
-                            minTriples: Long = 30,
                             maxCostSeconds: Double = Double.PositiveInfinity,
                             cost: CostModel = CostModel.default) {
   require(eps > 0 && eps < 1 && alpha > 0 && alpha < 1)
   def z: Double = Stats.zAlpha(alpha)
+  /** Triples per SRS iteration; also the CLT minimum n. */
+  val srsBatch: Int = 30
+  /** First-stage cluster draws per iteration. */
+  val clusterBatch: Int = 5
+  /** Minimum first-stage draws before the MoE stop rule. */
+  val minClusterDraws: Int = 5
+  /** Minimum annotated triples before the MoE stop rule for cluster designs
+    * (the CLT n>30 rule of thumb — reproduces the paper's ~30-triple YAGO
+    * samples and its ~24-draw TWCS(m=10) run on MOVIE).
+    */
+  val minTriples: Long = 30
 }
 
 /** Outcome of one evaluation run. Costs follow Eq (4) on distinct sets. */
@@ -41,84 +41,92 @@ final case class EvalResult(estimate: Double,
 }
 
 /** Static Evaluation (§4): iteratively sample, annotate, estimate and stop as
-  * soon as MoE <= eps — one method per sampling design of §5.
+  * soon as MoE <= eps — one method per sampling design of §5, all driven by
+  * the one loop [[iterate]].
   */
 object StaticEval {
 
-  /** SRS: batches of `srsBatch` triples without replacement, Eq (5) estimator. */
-  def srs(kg: KGSummary, cfg: EvalConfig, rng: Random): EvalResult = {
-    val z       = cfg.z
-    val stream  = new LocalSamplers.SrsStream(kg, rng)
-    val tracker = new CostTracker(cfg.cost)
-    var n       = 0L
-    var correct = 0L
-    var est     = Estimate(0.0, Double.PositiveInfinity)
-    var stop    = false
+  /** The iterative framework of Fig 2, shared by every design. Before each
+    * batch it stops when the MoE meets ε once the sample floor (`minDraws`
+    * draws, `minTriples` annotated triples) is met, when the annotation cost
+    * reaches the budget, or when the KG is `exhausted`. Otherwise it makes up
+    * to `batch` single draws and re-estimates.
+    *
+    * The rule is checked before drawing because stratified TWCS and the RS/SS
+    * updates enter with draws already made; with no draw made (`drawn` = 0)
+    * the MoE counts as infinite, so the loop draws first.
+    */
+  private[repro] def iterate(cfg: EvalConfig, tracker: CostTracker, batch: Int,
+                             minDraws: Int, minTriples: Long,
+                             drawn: => Int, exhausted: => Boolean)
+                            (draw: => Unit)(estimate: => Estimate): Estimate = {
+    var est = if (drawn == 0) Estimate(0.0, Double.PositiveInfinity) else estimate
+    def stop: Boolean =
+      (drawn >= minDraws && tracker.triples >= minTriples && est.moe <= cfg.eps) ||
+      tracker.seconds >= cfg.maxCostSeconds || exhausted
     while (!stop) {
       var i = 0
-      while (i < cfg.srsBatch && n < kg.numTriples) {
-        val (idx, ok) = stream.next()
-        val c = kg.clusters(idx)
-        tracker.record(c.id, c.size, 1)
-        n += 1
-        if (ok) correct += 1
-        i += 1
-      }
-      est = Estimators.srs(correct, n, z)
-      stop = (n >= cfg.srsBatch && est.moe <= cfg.eps) ||
-             n >= kg.numTriples ||
-             tracker.seconds >= cfg.maxCostSeconds
+      while (i < batch && !exhausted) { draw; i += 1 }
+      est = estimate
     }
-    EvalResult(est.value, est.moe, 0, tracker.entities, tracker.triples,
-      tracker.seconds, est.moe <= cfg.eps)
+    est
   }
 
-  private def clusterLoop(cfg: EvalConfig, tracker: CostTracker,
-                          drawOne: () => (LocalSamplers.ClusterDraw, Double)): EvalResult = {
-    val z      = cfg.z
-    val values = ArrayBuffer.empty[Double]
-    var est    = Estimate(0.0, Double.PositiveInfinity)
-    var stop   = false
-    while (!stop) {
-      var i = 0
-      while (i < cfg.clusterBatch) {
-        val (d, v) = drawOne()
-        tracker.record(d.cluster.id, d.cluster.size, d.annotated)
-        values += v
-        i += 1
-      }
-      est = Estimators.meanOfDraws(values.toSeq, z)
-      stop = (values.size >= cfg.minClusterDraws &&
-              tracker.triples >= cfg.minTriples &&
-              est.moe <= cfg.eps) ||
-             tracker.seconds >= cfg.maxCostSeconds
-    }
-    EvalResult(est.value, est.moe, values.size, tracker.entities, tracker.triples,
+  /** [[iterate]] for the mean-of-draws designs: each draw is charged to
+    * `tracker` and its value appended to `values`, which may arrive seeded.
+    */
+  private[repro] def iterateDraws(cfg: EvalConfig, tracker: CostTracker,
+                                 values: ArrayBuffer[Double], minDraws: Int, minTriples: Long)
+                                (draw: => LocalSamplers.ClusterDraw)
+                                (value: LocalSamplers.ClusterDraw => Double): Estimate =
+    iterate(cfg, tracker, cfg.clusterBatch, minDraws, minTriples, values.size, exhausted = false) {
+      val d = draw
+      tracker.record(d.cluster.id, d.cluster.size, d.annotated)
+      values += value(d)
+    }(Estimators.meanOfDraws(values.toSeq, cfg.z))
+
+  private def result(est: Estimate, draws: Int, tracker: CostTracker, cfg: EvalConfig): EvalResult =
+    EvalResult(est.value, est.moe, draws, tracker.entities, tracker.triples,
       tracker.seconds, est.moe <= cfg.eps)
+
+  /** SRS: batches of `srsBatch` triples without replacement, Eq (5) estimator. */
+  def srs(kg: KGSummary, cfg: EvalConfig, rng: Random): EvalResult = {
+    val stream  = new LocalSamplers.SrsStream(kg, rng)
+    val tracker = new CostTracker(cfg.cost)
+    var n       = 0
+    var correct = 0L
+    val est = iterate(cfg, tracker, cfg.srsBatch, cfg.srsBatch, 0L,
+                      drawn = n, exhausted = n >= kg.numTriples) {
+      val (idx, ok) = stream.next()
+      val c = kg.clusters(idx)
+      tracker.record(c.id, c.size, 1)
+      n += 1
+      if (ok) correct += 1
+    }(Estimators.srs(correct, n, cfg.z))
+    result(est, 0, tracker, cfg)
+  }
+
+  private def clusterDesign(cfg: EvalConfig)(draw: => LocalSamplers.ClusterDraw)
+                           (value: LocalSamplers.ClusterDraw => Double): EvalResult = {
+    val tracker = new CostTracker(cfg.cost)
+    val values  = ArrayBuffer.empty[Double]
+    val est = iterateDraws(cfg, tracker, values, cfg.minClusterDraws, cfg.minTriples)(draw)(value)
+    result(est, values.size, tracker, cfg)
   }
 
   /** RCS (§5.2.1): uniform cluster draws, v_k = (N/M)·τ_{I_k}. */
   def rcs(kg: KGSummary, cfg: EvalConfig, rng: Random): EvalResult = {
     val scale = kg.numClusters.toDouble / kg.numTriples
-    clusterLoop(cfg, new CostTracker(cfg.cost), () => {
-      val d = LocalSamplers.rcsDraw(kg, rng)
-      (d, scale * d.hits)
-    })
+    clusterDesign(cfg)(LocalSamplers.rcsDraw(kg, rng))(scale * _.hits)
   }
 
   /** WCS (§5.2.2): size-weighted draws, v_k = μ_{I_k} (Hansen–Hurwitz). */
   def wcs(kg: KGSummary, cfg: EvalConfig, rng: Random): EvalResult =
-    clusterLoop(cfg, new CostTracker(cfg.cost), () => {
-      val d = LocalSamplers.wcsDraw(kg, rng)
-      (d, d.cluster.accuracy)
-    })
+    clusterDesign(cfg)(LocalSamplers.wcsDraw(kg, rng))(_.cluster.accuracy)
 
   /** TWCS (§5.2.3): size-weighted draws + second-stage SRS of <= m triples. */
   def twcs(kg: KGSummary, m: Int, cfg: EvalConfig, rng: Random): EvalResult =
-    clusterLoop(cfg, new CostTracker(cfg.cost), () => {
-      val d = LocalSamplers.twcsDraw(kg, m, rng)
-      (d, d.sampleMean)
-    })
+    clusterDesign(cfg)(LocalSamplers.twcsDraw(kg, m, rng))(_.sampleMean)
 
   /** TWCS with stratification (§5.3): per-stratum TWCS estimators combined by
     * Eq (13); each iteration allocates `clusterBatch` draws greedily to the
@@ -128,7 +136,6 @@ object StaticEval {
   def twcsStratified(strata: Seq[Stratification.StratumPop], m: Int,
                      cfg: EvalConfig, rng: Random): EvalResult = {
     require(strata.nonEmpty)
-    val z       = cfg.z
     val ws      = Stratification.weights(strata)
     val tracker = new CostTracker(cfg.cost)
     val values  = strata.map(_ => ArrayBuffer.empty[Double])
@@ -149,38 +156,21 @@ object StaticEval {
       (0 until minPerStratum).foreach(_ => drawIn(h))
     }
 
-    def combined(): Estimate = {
-      val ss = strata.indices.map { h =>
+    def totalDraws: Int = values.map(_.size).sum
+    val est = iterate(cfg, tracker, cfg.clusterBatch, cfg.minClusterDraws, cfg.minTriples,
+                      totalDraws, exhausted = false) {
+      drawIn(strata.indices.maxBy { h =>
+        val nH = values(h).size.toDouble
+        val s2 = math.max(Stats.sampleVariance(values(h).toSeq), varFloor)
+        ws(h) * ws(h) * s2 * (1.0 / nH - 1.0 / (nH + 1.0))
+      })
+    } {
+      Estimators.stratified(strata.indices.map { h =>
         Estimators.Stratum(ws(h), Stats.mean(values(h).toSeq),
           Estimators.varOfMean(values(h).toSeq))
-      }
-      Estimators.stratified(ss, z)
+      }, cfg.z)
     }
-
-    def totalDraws: Int = values.map(_.size).sum
-    def mayStop: Boolean =
-      totalDraws >= cfg.minClusterDraws && tracker.triples >= cfg.minTriples
-
-    var est  = combined()
-    var stop = (mayStop && est.moe <= cfg.eps) ||
-               tracker.seconds >= cfg.maxCostSeconds
-    while (!stop) {
-      var i = 0
-      while (i < cfg.clusterBatch) {
-        val h = strata.indices.maxBy { h =>
-          val nH = values(h).size.toDouble
-          val s2 = math.max(Stats.sampleVariance(values(h).toSeq), varFloor)
-          ws(h) * ws(h) * s2 * (1.0 / nH - 1.0 / (nH + 1.0))
-        }
-        drawIn(h)
-        i += 1
-      }
-      est = combined()
-      stop = (mayStop && est.moe <= cfg.eps) ||
-             tracker.seconds >= cfg.maxCostSeconds
-    }
-    EvalResult(est.value, est.moe, totalDraws, tracker.entities,
-      tracker.triples, tracker.seconds, est.moe <= cfg.eps)
+    result(est, totalDraws, tracker, cfg)
   }
 
   // ------------------------------------------------------------------

@@ -26,33 +26,11 @@ final case class SnapshotResult(estimate: Double,
   */
 object IncrementalEval {
 
-  private def newCost(cfg: EvalConfig, entities: Int, triples: Long): Double =
-    cfg.cost.seconds(entities.toLong, triples)
+  private def snapshot(est: Estimate, tracker: CostTracker, cfg: EvalConfig): SnapshotResult =
+    SnapshotResult(est.value, est.moe, tracker.entities, tracker.triples, tracker.seconds,
+      est.moe <= cfg.eps)
 
-  /** Draw TWCS batches from `kg`, appending within-draw sample means to
-    * `values` and charging `tracker`, until `stop()` or the cost cap.
-    */
-  /** @param minTriples CLT floor on annotated triples before `stop` may fire;
-    *                    pass 0 for incremental Δ strata — Algorithm 2's stop
-    *                    rule is on the *combined* MoE, and the base stratum
-    *                    already carries a CLT-sized sample.
-    */
-  private def twcsBatches(kg: KGSummary, m: Int, cfg: EvalConfig, rng: Random,
-                          values: ArrayBuffer[Double], tracker: CostTracker,
-                          minDraws: Int, minTriples: Long, stop: () => Boolean): Unit = {
-    var done = false
-    while (!done) {
-      var i = 0
-      while (i < cfg.clusterBatch) {
-        val d = LocalSamplers.twcsDraw(kg, m, rng)
-        tracker.record(d.cluster.id, d.cluster.size, d.annotated)
-        values += d.sampleMean
-        i += 1
-      }
-      done = (values.size >= minDraws && tracker.triples >= minTriples && stop()) ||
-             tracker.seconds >= cfg.maxCostSeconds
-    }
-  }
+  private def clamp01(x: Double): Double = math.max(0.0, math.min(1.0, x))
 
   // ==================================================================
   // Baseline: independent static TWCS on every snapshot
@@ -77,8 +55,9 @@ object IncrementalEval {
 
   /** Maintains a weighted reservoir of annotated cluster draws. Per update
     * batch: offer every new cluster (annotating those that enter), then — if
-    * the MoE over the reservoir exceeds ε — top up with fresh WCS draws from
-    * the current KG (the paper's "run Static Evaluation on G+Δ" step).
+    * the MoE over the reservoir exceeds ε — top up with fresh TWCS draws from
+    * the current KG (the paper's "run Static Evaluation on G+Δ" step), within
+    * the cost budget.
     *
     * @param capacity reservoir size |R| (first-stage sample size from the
     *                 initial static evaluation)
@@ -89,19 +68,9 @@ object IncrementalEval {
     */
   final class ReservoirEvaluator(capacity: Int, m: Int, cfg: EvalConfig, rng: Random,
                                  initBias: Double = 0.0) {
-    /** Payload per reservoir entry: (recorded sample mean, #triples annotated). */
-    private val reservoir = new WeightedReservoir[(Double, Int)](capacity)
+    /** Payload per reservoir entry: the recorded within-cluster sample mean. */
+    private val reservoir = new WeightedReservoir[Double](capacity)
     private val all = ArrayBuffer.empty[Cluster]
-    private var weightsDirty = true
-    private var weights: CumulativeWeights = _
-
-    private def pool(): CumulativeWeights = {
-      if (weightsDirty) {
-        weights = new CumulativeWeights(all.map(_.size.toLong).toArray)
-        weightsDirty = false
-      }
-      weights
-    }
 
     /** Build the initial reservoir over the base KG (annotations charged to
       * the static evaluation that precedes the evolving phase, not to any
@@ -109,12 +78,8 @@ object IncrementalEval {
       */
     def initialize(base: KGSummary): Unit = {
       all ++= base.clusters
-      weightsDirty = true
       base.clusters.foreach { c =>
-        reservoir.offer(c, rng) {
-          val d = LocalSamplers.secondStage(c, m, rng)
-          (math.max(0.0, math.min(1.0, d.sampleMean + initBias)), d.annotated)
-        }
+        reservoir.offer(c, rng)(clamp01(LocalSamplers.secondStage(c, m, rng).sampleMean + initBias))
       }
     }
 
@@ -122,36 +87,21 @@ object IncrementalEval {
 
     def applyUpdate(batch: Array[Cluster]): SnapshotResult = {
       all ++= batch
-      weightsDirty = true
-      var newEntities = 0
-      var newTriples  = 0L
+      val tracker = new CostTracker(cfg.cost)
       batch.foreach { c =>
         reservoir.offer(c, rng) {
           val d = LocalSamplers.secondStage(c, m, rng)
-          newEntities += 1
-          newTriples  += d.annotated
-          (d.sampleMean, d.annotated)
+          tracker.record(c.id, c.size, d.annotated)
+          d.sampleMean
         }
       }
-      val z = cfg.z
-      var values = reservoir.entries.map(_.payload._1).toVector
-      var est = Estimators.meanOfDraws(values, z)
-      // Top up from the current KG if the reservoir alone misses the MoE bar.
-      val cw = pool()
-      while (est.moe > cfg.eps) {
-        var i = 0
-        while (i < cfg.clusterBatch) {
-          val c = all(cw.draw(rng))
-          val d = LocalSamplers.secondStage(c, m, rng)
-          newEntities += 1
-          newTriples  += d.annotated
-          values = values :+ d.sampleMean
-          i += 1
-        }
-        est = Estimators.meanOfDraws(values, z)
-      }
-      SnapshotResult(est.value, est.moe, newEntities, newTriples,
-        newCost(cfg, newEntities, newTriples), est.moe <= cfg.eps)
+      // Top-up draws come from the current KG; its size index is built only
+      // if the reservoir alone misses the MoE bar.
+      lazy val current = KGSummary(all.toArray)
+      val values = reservoir.entries.map(_.payload).to(ArrayBuffer)
+      val est = StaticEval.iterateDraws(cfg, tracker, values, 0, 0L)(
+        LocalSamplers.twcsDraw(current, m, rng))(_.sampleMean)
+      snapshot(est, tracker, cfg)
     }
   }
 
@@ -173,14 +123,12 @@ object IncrementalEval {
                                   initBias: Double = 0.0) {
     private val strata = ArrayBuffer.empty[StratumState]
 
-    /** Run the initial static evaluation on the base KG, keeping its draws. */
+    /** Run the initial static TWCS evaluation on the base KG, keeping its draws. */
     def initialize(base: KGSummary): Unit = {
-      val values  = ArrayBuffer.empty[Double]
-      val tracker = new CostTracker(cfg.cost)
-      twcsBatches(base, m, cfg, rng, values, tracker, cfg.minClusterDraws, cfg.minTriples,
-        () => Estimators.meanOfDraws(values.toSeq, cfg.z).moe <= cfg.eps)
-      val biased = values.map(v => math.max(0.0, math.min(1.0, v + initBias)))
-      strata += StratumState(base.numTriples, biased)
+      val values = ArrayBuffer.empty[Double]
+      StaticEval.iterateDraws(cfg, new CostTracker(cfg.cost), values, cfg.minClusterDraws,
+        cfg.minTriples)(LocalSamplers.twcsDraw(base, m, rng))(_.sampleMean)
+      strata += StratumState(base.numTriples, values.map(v => clamp01(v + initBias)))
     }
 
     private def combined(): Estimate = {
@@ -192,19 +140,24 @@ object IncrementalEval {
       Estimators.stratified(parts.toSeq, cfg.z)
     }
 
+    /** A handful of draws so the new stratum has a usable sample variance (2
+      * agreeing draws would stop on a spurious zero), then batches until the
+      * *combined* MoE satisfies ε. No triple floor: Algorithm 2's stop rule is
+      * on the combined MoE, and the base stratum already carries a CLT-sized
+      * sample.
+      */
     def applyUpdate(batch: Array[Cluster]): SnapshotResult = {
       val delta   = KGSummary(batch)
       val values  = ArrayBuffer.empty[Double]
       val tracker = new CostTracker(cfg.cost)
       strata += StratumState(delta.numTriples, values)
-      // A handful of draws so the new stratum has a usable sample variance
-      // (2 agreeing draws would stop on a spurious zero), then batches until
-      // the *combined* MoE satisfies ε.
-      twcsBatches(delta, m, cfg, rng, values, tracker, 5, 0L,
-        () => combined().moe <= cfg.eps)
-      val est = combined()
-      SnapshotResult(est.value, est.moe, tracker.entities, tracker.triples,
-        tracker.seconds, est.moe <= cfg.eps)
+      val est = StaticEval.iterate(cfg, tracker, cfg.clusterBatch, 5, 0L, values.size,
+                                   exhausted = false) {
+        val d = LocalSamplers.twcsDraw(delta, m, rng)
+        tracker.record(d.cluster.id, d.cluster.size, d.annotated)
+        values += d.sampleMean
+      }(combined())
+      snapshot(est, tracker, cfg)
     }
   }
 }

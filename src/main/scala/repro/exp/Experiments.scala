@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.core._
 import repro.core.StaticEval.McStats
+import repro.evolve.SnapshotResult
 import repro.evolve.IncrementalEval._
 import repro.kg.{LabelModels, LocalKGGen}
 import repro.kgeval.KGEval
@@ -202,8 +203,31 @@ object Experiments {
     */
   def evolvingBase(spark: SparkSession): KGSummary = ExpData.movie(spark, scale = 0.5)
 
-  private def freshId(trial: Int, batch: Int): Long =
-    10_000_000L + trial.toLong * 1_000_000L + batch.toLong * 10_000L
+  /** Update batches of `frac`·|base| triples at accuracy `acc`, each drawn
+    * from `rng` when it is taken. Cluster ids come from a running counter
+    * above the base KG's largest id, so no two clusters of a sequence share
+    * one.
+    */
+  def updateBatches(base: KGSummary, frac: Double, acc: Double,
+                    rng: Random): Iterator[Array[Cluster]] = {
+    var nextId = base.clusters.iterator.map(_.id).max + 1
+    Iterator.continually {
+      val batch = LocalKGGen.movieClustersByTriples((base.numTriples * frac).toLong,
+        LabelModels.REM(1 - acc), rng, nextId)
+      nextId += batch.length
+      batch
+    }
+  }
+
+  /** RS with |R| set by a static TWCS run on the base KG, its reservoir built. */
+  private def reservoirOn(base: KGSummary, m: Int, cfg: EvalConfig, rng: Random,
+                          bias: Double): ReservoirEvaluator = {
+    val init = StaticEval.twcs(base, m, cfg, rng)
+    val ev = new ReservoirEvaluator(math.max(cfg.minClusterDraws, init.clusterDraws),
+      m, cfg, rng, initBias = bias)
+    ev.initialize(base)
+    ev
+  }
 
   /** One single-batch comparison point: mean per-update cost of Baseline / RS
     * / SS over `trials` runs, for an update of `sizeFrac`·|base| triples at
@@ -212,21 +236,17 @@ object Experiments {
   def singleBatchPoint(base: KGSummary, sizeFrac: Double, acc: Double, m: Int,
                        trials: Int, seed: Long): EvolvingRow = {
     val cfg = DefaultCfg
-    val target = (base.numTriples * sizeFrac).toLong
     var accSum = 0.0
     val (bs, rs, ss) = (ArrayBuffer[Double](), ArrayBuffer[Double](), ArrayBuffer[Double]())
     for (t <- 0 until trials) {
       val rng = new Random(seed + t)
-      val batch = LocalKGGen.movieClustersByTriples(target, LabelModels.REM(1 - acc), rng, freshId(t, 0))
+      val batch = updateBatches(base, sizeFrac, acc, rng).next()
 
       val baseline = new BaselineEvaluator(m, cfg, rng)
       baseline.initialize(base)
       bs += baseline.applyUpdate(batch).costHours
 
-      val init = StaticEval.twcs(base, m, cfg, rng) // sizes the reservoir
-      val res = new ReservoirEvaluator(math.max(cfg.minClusterDraws, init.clusterDraws), m, cfg, rng)
-      res.initialize(base)
-      rs += res.applyUpdate(batch).costHours
+      rs += reservoirOn(base, m, cfg, rng, 0.0).applyUpdate(batch).costHours
 
       val strat = new StratifiedEvaluator(m, cfg, rng)
       strat.initialize(base)
@@ -265,39 +285,24 @@ object Experiments {
                   m: Int, bias: Double, seed: Long): SequenceRun = {
     val cfg = DefaultCfg
     val rng = new Random(seed)
-    val target = (base.numTriples * 0.1).toLong
-
-    val estimates = ArrayBuffer.empty[Double]
-    val truths    = ArrayBuffer.empty[Double]
-    var totTriples = base.numTriples
-    var totCorrect = base.clusters.map(_.tau.toLong).sum
-
-    method match {
+    val update: Array[Cluster] => SnapshotResult = method match {
       case "SS" =>
         val ev = new StratifiedEvaluator(m, cfg, rng, initBias = bias)
         ev.initialize(base)
-        for (b <- 0 until batches) {
-          val batch = LocalKGGen.movieClustersByTriples(target, LabelModels.REM(1 - acc), rng, freshId(0, b + 1))
-          totTriples += batch.map(_.size.toLong).sum
-          totCorrect += batch.map(_.tau.toLong).sum
-          estimates += ev.applyUpdate(batch).estimate
-          truths    += totCorrect.toDouble / totTriples
-        }
-      case "RS" =>
-        val init = StaticEval.twcs(base, m, cfg, rng)
-        val ev = new ReservoirEvaluator(math.max(cfg.minClusterDraws, init.clusterDraws),
-          m, cfg, rng, initBias = bias)
-        ev.initialize(base)
-        for (b <- 0 until batches) {
-          val batch = LocalKGGen.movieClustersByTriples(target, LabelModels.REM(1 - acc), rng, freshId(0, b + 1))
-          totTriples += batch.map(_.size.toLong).sum
-          totCorrect += batch.map(_.tau.toLong).sum
-          estimates += ev.applyUpdate(batch).estimate
-          truths    += totCorrect.toDouble / totTriples
-        }
+        ev.applyUpdate
+      case "RS" => reservoirOn(base, m, cfg, rng, bias).applyUpdate
       case other => throw new IllegalArgumentException(s"unknown method $other")
     }
-    SequenceRun(method, estimates.toSeq, truths.toSeq)
+    val updates = updateBatches(base, 0.1, acc, rng)
+    var triples = base.numTriples
+    var correct = base.clusters.map(_.tau.toLong).sum
+    val (estimates, truths) = (0 until batches).map { _ =>
+      val batch = updates.next()
+      triples += batch.map(_.size.toLong).sum
+      correct += batch.map(_.tau.toLong).sum
+      (update(batch).estimate, correct.toDouble / triples)
+    }.unzip
+    SequenceRun(method, estimates, truths)
   }
 
   /** Unbiasedness (Fig 9-1): estimates averaged over runs, plus the

@@ -4,8 +4,11 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core._
 import repro.evolve.IncrementalEval._
+import repro.exp.Experiments
 import repro.kg.{LabelModels, LocalKGGen}
 
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
 import scala.util.Random
 
 class IncrementalSpec extends AnyFunSuite {
@@ -87,6 +90,30 @@ class IncrementalSpec extends AnyFunSuite {
     val inserted = ev.totalInsertions - before
     // |R| log(N_j/N_i) with N_j/N_i ≈ 1.5 -> ≈ 12; allow generous slack
     assert(inserted < 60, s"inserted $inserted")
+  }
+
+  test("RS stops at the cost budget when the MoE target cannot be reached") {
+    val base = makeBase(19)
+    val rng = new Random(20)
+    val capped = EvalConfig(eps = 0.001, maxCostSeconds = 3600.0)
+    val ev = new ReservoirEvaluator(30, m, capped, rng)
+    ev.initialize(base)
+    val batch = makeBatch(base, 0.1, 0.9, rng, 0)
+    // a daemon thread, so that an update that never stops cannot hold the run
+    val r = Await.result(Future(ev.applyUpdate(batch))(ExecutionContext.global), 60.seconds)
+    assert(!r.converged)
+    val oneBatch = capped.clusterBatch * capped.cost.seconds(1, m)
+    assert(r.costSeconds >= capped.maxCostSeconds)
+    assert(r.costSeconds <= capped.maxCostSeconds + oneBatch, s"cost ${r.costSeconds}")
+  }
+
+  test("update batches of one sequence share no cluster id with each other or the base") {
+    val base = makeBase(21)
+    // 60% batches hold about 12K clusters each, more than 10K ids apart
+    val batches = Experiments.updateBatches(base, 0.6, 0.9, new Random(22)).take(3).toSeq
+    assert(batches.forall(_.length > 10000))
+    val ids = base.clusters.map(_.id) ++ batches.flatMap(_.map(_.id))
+    assert(ids.distinct.length == ids.length)
   }
 
   // ---- SS ----
