@@ -182,8 +182,7 @@ object StaticEval {
                            meanEstimate: Double, sdEstimate: Double,
                            estP2p5: Double, estP97p5: Double,
                            meanCostHours: Double, sdCostHours: Double,
-                           meanTriples: Double, sdTriples: Double,
-                           meanEntities: Double, meanClusterDraws: Double,
+                           meanTriples: Double, meanEntities: Double,
                            convergedFrac: Double)
 
   /** Run `trials` independent evaluations. Per-trial seeds come from a master
@@ -196,7 +195,6 @@ object StaticEval {
     val results = (0 until trials).map(_ => run(new Random(master.nextLong())))
     val ests  = results.map(_.estimate)
     val costs = results.map(_.costHours)
-    val trs   = results.map(_.triples.toDouble)
     val sortedEst = ests.sorted
     def pct(p: Double): Double = sortedEst(math.min(ests.size - 1, (p * ests.size).toInt))
     McStats(
@@ -204,9 +202,8 @@ object StaticEval {
       Stats.mean(ests), math.sqrt(Stats.sampleVariance(ests)),
       pct(0.025), pct(0.975),
       Stats.mean(costs), math.sqrt(Stats.sampleVariance(costs)),
-      Stats.mean(trs), math.sqrt(Stats.sampleVariance(trs)),
+      Stats.mean(results.map(_.triples.toDouble)),
       Stats.mean(results.map(_.entities.toDouble)),
-      Stats.mean(results.map(_.clusterDraws.toDouble)),
       results.count(_.converged).toDouble / trials)
   }
 }

@@ -199,7 +199,8 @@ object Experiments {
                                ssH: Double, overallAcc: Double)
 
   /** Base KG for the evolving experiments: 50% subset of MOVIE with REM(0.1)
-    * labels (§7.3). Returns the base summary from the Spark pipeline.
+    * labels (§7.3). Its summary is built on the driver by [[ExpData.movie]];
+    * `spark` is unused and stays for the callers that pass a session.
     */
   def evolvingBase(spark: SparkSession): KGSummary = ExpData.movie(spark, scale = 0.5)
 

@@ -1,9 +1,10 @@
 package repro.kg
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import java.util.SplittableRandom
 
-import repro.core.Cluster
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+
+import repro.core.{Cluster, KGSummary}
 
 import scala.util.Random
 
@@ -21,36 +22,77 @@ import scala.util.Random
   */
 object KGData {
 
-  /** Expand an entity table (subject, size, p) into labelled triples. The
-    * predicate/object vocabularies control the coupling density that the
-    * KGEval baseline exploits: fewer distinct (predicate, object) pairs =>
-    * denser coupling graph => fewer KGEval seed annotations.
+  /** One synthetic KG as a pure function of (seed, subject), so its
+    * DataFrame is the same however `spark.range` is split, and the driver
+    * builds its summary without a Spark job. Subject s is the cluster that
+    * [[LocalKGGen.cluster]] draws from s's own stream; its triples draw their
+    * predicate and object from the same stream. Fewer distinct (predicate,
+    * object) pairs => denser coupling graph => fewer KGEval seed annotations.
     */
-  def explodeToTriples(entities: DataFrame, nPred: Int, nObj: Int,
-                       objConcentration: Double, seed: Long): DataFrame =
-    entities
-      .select(col("subject"), col("p"),
-              explode(sequence(lit(1), col("size"))).as("__line"))
-      .select(
-        col("subject"),
-        concat(lit("p"), floor(rand(seed) * nPred).cast("long")).as("predicate"),
-        concat(lit("o"), floor(pow(rand(seed + 1), objConcentration) * nObj).cast("long")).as("object"),
-        (rand(seed + 2) < col("p")).cast("int").as("label"))
+  private[repro] final case class Law(entities: Int, size: Random => Int, model: LabelModel,
+                                      nPred: Int, nObj: Int, objConcentration: Double,
+                                      seed: Long) {
 
-  /** (subject, size, p) entity table. `size` must be built from the
-    * materialized columns `r1`/`r2`/`r3` — referencing a raw `rand()` column
-    * several times inside a when-chain re-draws the RNG per branch and skews
-    * the distribution (Spark evaluates each occurrence of a nondeterministic
-    * expression independently). A projection boundary pins one value per row.
-    */
-  private def entityTable(spark: SparkSession, n: Long, size: Column,
-                          model: LabelModel, seed: Long): DataFrame =
-    spark.range(1, n + 1)
-      .select(col("id").as("subject"),
-              rand(seed).as("r1"), rand(seed + 1).as("r2"), rand(seed + 2).as("r3"),
-              randn(seed + 9).as("n1"))
-      .select(col("subject"), size.cast("int").as("size"))
-      .select(col("subject"), col("size"), model.pColumn(col("size"), seed + 3).as("p"))
+    /** The stream of one subject, seeded by a 64-bit mix of (seed, subject):
+      * seeding with `seed + subject` would correlate java.util.Random's first
+      * outputs across neighbouring subjects.
+      */
+    private def stream(subject: Long): Random =
+      new Random(new SplittableRandom(new SplittableRandom(seed).nextLong() + subject).nextLong())
+
+    def summary: KGSummary =
+      KGSummary(Array.tabulate(entities)(i => LocalKGGen.cluster(i + 1L, size, model, stream(i + 1L))))
+
+    /** The (subject, predicate, object, label) triples of one subject. Its τ
+      * correct lines are a uniform τ-subset, by selection sampling (a line is
+      * correct w.p. correct-lines-left / lines-left): line order carries no label.
+      */
+    def triples(subject: Long): Seq[(Long, String, String, Int)] = {
+      val rng = stream(subject)
+      val c   = LocalKGGen.cluster(subject, size, model, rng)
+      var correctLeft = c.tau
+      (0 until c.size).map { line =>
+        val predicate = s"p${rng.nextInt(nPred)}"
+        val obj       = s"o${(math.pow(rng.nextDouble(), objConcentration) * nObj).toLong}"
+        val correct   = rng.nextDouble() * (c.size - line) < correctLeft
+        if (correct) correctLeft -= 1
+        (subject, predicate, obj, if (correct) 1 else 0)
+      }
+    }
+
+    /** The triples of `subjects`, a subset of 1..`entities` split any way. */
+    def toDF(subjects: Dataset[java.lang.Long]): DataFrame = {
+      val spark = subjects.sparkSession
+      import spark.implicits._
+      subjects.flatMap(s => triples(s)).toDF("subject", "predicate", "object", "label")
+    }
+
+    def toDF(spark: SparkSession): DataFrame = toDF(spark.range(1, entities + 1L))
+  }
+
+  /** Defaults of the generators below, shared by [[repro.exp.ExpData]]. */
+  private[repro] val NellSeed     = 11L
+  private[repro] val YagoSeed     = 13L
+  private[repro] val MovieSeed    = 17L
+  private[repro] val MovieSynSeed = 19L
+  private[repro] val MovieModel: LabelModel = LabelModels.REM(0.1)
+
+  private[repro] def nellLaw(seed: Long): Law =
+    Law(817, rng => if (rng.nextDouble() < 0.98) {
+      val r = rng.nextDouble()
+      if (r < 0.45) 1 else if (r < 0.70) 2 else if (r < 0.88) 3 else 4
+    } else 5 + rng.nextInt(26),
+      LabelModels.NoisyCluster(0.97, 0.17), nPred = 8, nObj = 40, objConcentration = 1.5, seed)
+
+  private[repro] def yagoLaw(seed: Long): Law =
+    Law(822, rng => {
+      val r = rng.nextDouble()
+      if (r < 0.55) 1 else if (r < 0.85) 2 else if (r < 0.95) 3 else if (r < 0.98) 4 else 5
+    }, LabelModels.REM(0.01), nPred = 10, nObj = 50, objConcentration = 1.5, seed)
+
+  private[repro] def movieLaw(scale: Double, model: LabelModel, seed: Long): Law =
+    Law(math.max(1L, math.round(288770 * scale)).toInt, LocalKGGen.movieSize, model,
+        nPred = 12, nObj = 1000000, objConcentration = 1.0, seed)
 
   /** NELL-like: 817 entities, ≈1.9K triples, ≈98% of clusters of size <= 4
     * with a thin 5..30 tail (mean ≈2.3). Labels: per-cluster accuracy
@@ -58,60 +100,37 @@ object KGData {
     * size. Small predicate/object vocabularies (domain-specific KG) give the
     * dense coupling KGEval needs.
     */
-  def nellLike(spark: SparkSession, seed: Long = 11): DataFrame = {
-    val small = when(col("r2") < 0.45, 1).when(col("r2") < 0.70, 2)
-      .when(col("r2") < 0.88, 3).otherwise(4)
-    val size  = when(col("r1") < 0.98, small)
-      .otherwise((floor(col("r3") * 26) + 5).cast("int"))
-    val ents = entityTable(spark, 817, size,
-      LabelModels.NoisyCluster(0.97, 0.17), seed)
-    explodeToTriples(ents, nPred = 8, nObj = 40, objConcentration = 1.5, seed = seed + 4)
-  }
+  def nellLike(spark: SparkSession, seed: Long = NellSeed): DataFrame = nellLaw(seed).toDF(spark)
 
   /** YAGO-like: 822 entities, ≈1.4K triples (mean cluster ≈1.7), REM p=0.99.
     * Broader vocabularies (general-domain KG) => sparser coupling graph.
     */
-  def yagoLike(spark: SparkSession, seed: Long = 13): DataFrame = {
-    val size = when(col("r1") < 0.55, 1).when(col("r1") < 0.85, 2)
-      .when(col("r1") < 0.95, 3).when(col("r1") < 0.98, 4).otherwise(5)
-    val ents = entityTable(spark, 822, size, LabelModels.REM(0.01), seed)
-    explodeToTriples(ents, nPred = 10, nObj = 50, objConcentration = 1.5, seed = seed + 2)
-  }
+  def yagoLike(spark: SparkSession, seed: Long = YagoSeed): DataFrame = yagoLaw(seed).toDF(spark)
 
   /** MOVIE-like: log-normal cluster sizes (mean ≈9, heavy tail into the
     * thousands); at scale=1.0, 288,770 entities / ≈2.6M triples. Default
     * labels REM(0.1) -> 90% overall, matching MOVIE's measured gold accuracy.
     */
   def movieLike(spark: SparkSession, scale: Double = 1.0,
-                model: LabelModel = LabelModels.REM(0.1),
-                seed: Long = 17): DataFrame = {
-    val n = math.max(1L, math.round(288770 * scale))
-    val size = greatest(lit(1L),
-      round(exp(col("n1") * LocalKGGen.MovieSigma + LocalKGGen.MovieMu)))
-    val ents = entityTable(spark, n, size, model, seed)
-    explodeToTriples(ents, nPred = 12, nObj = 1000000, objConcentration = 1.0, seed = seed + 2)
-  }
+                model: LabelModel = MovieModel,
+                seed: Long = MovieSeed): DataFrame =
+    movieLaw(scale, model, seed).toDF(spark)
 
   /** MOVIE-SYN: MOVIE-like sizes with Binomial-Mixture labels (Eq 15). */
   def movieSyn(spark: SparkSession, scale: Double = 1.0,
                c: Double = 0.01, sigma: Double = 0.1, k: Int = 3,
-               seed: Long = 19): DataFrame =
-    movieLike(spark, scale, LabelModels.BMM(c, sigma, k), seed)
+               seed: Long = MovieSynSeed): DataFrame =
+    movieLaw(scale, LabelModels.BMM(c, sigma, k), seed).toDF(spark)
 }
 
-/** Driver-side mirror of the MOVIE-like cluster generator — used to produce
-  * evolving-KG update batches (the paper draws updates from MOVIE-FULL)
-  * without a Spark job per Monte-Carlo batch. Identical distributions to
-  * [[KGData.movieLike]].
+/** The per-cluster law of every KG, and MOVIE-like evolving-KG update
+  * batches drawn with it from one shared rng (the paper draws updates from
+  * MOVIE-FULL) without a Spark job per Monte-Carlo batch.
   */
 object LocalKGGen {
-  /** Log-normal parameters of the MOVIE-like cluster-size law. */
-  val MovieMu    = 1.35
-  val MovieSigma = 1.3
-
-  /** One log-normal MOVIE-like cluster size. */
+  /** One log-normal MOVIE-like cluster size: round(exp(N(1.35, 1.3²))), at least 1. */
   def movieSize(rng: Random): Int =
-    math.max(1L, math.round(math.exp(rng.nextGaussian() * MovieSigma + MovieMu))).toInt
+    math.max(1L, math.round(math.exp(rng.nextGaussian() * 1.3 + 1.35))).toInt
 
   /** Binomial(n, p) by direct simulation (n is a cluster size — small). */
   def binomial(rng: Random, n: Int, p: Double): Int = {
@@ -121,15 +140,19 @@ object LocalKGGen {
     hits
   }
 
+  /** One cluster: its size from `size`, then its p from `model`, then
+    * τ ~ Binomial(size, p), all drawn from `rng` in that order.
+    */
+  def cluster(id: Long, size: Random => Int, model: LabelModel, rng: Random): Cluster = {
+    val m = size(rng)
+    Cluster(id, m, binomial(rng, m, model.p(m, rng)))
+  }
+
   /** A batch of MOVIE-like clusters under a label model, with ids starting at
     * `idOffset` (update batches must not collide with base subjects).
     */
   def movieClusters(n: Int, model: LabelModel, rng: Random, idOffset: Long): Array[Cluster] =
-    Array.tabulate(n) { i =>
-      val size = movieSize(rng)
-      val p    = model.p(size, rng)
-      Cluster(idOffset + i, size, binomial(rng, size, p))
-    }
+    Array.tabulate(n)(i => cluster(idOffset + i, movieSize, model, rng))
 
   /** Clusters totalling approximately `targetTriples` triples. */
   def movieClustersByTriples(targetTriples: Long, model: LabelModel,
@@ -138,10 +161,9 @@ object LocalKGGen {
     var total = 0L
     var i = 0L
     while (total < targetTriples) {
-      val size = movieSize(rng)
-      val p    = model.p(size, rng)
-      out += Cluster(idOffset + i, size, binomial(rng, size, p))
-      total += size
+      val c = cluster(idOffset + i, movieSize, model, rng)
+      out += c
+      total += c.size
       i += 1
     }
     out.result()

@@ -1,36 +1,25 @@
 package repro.kg
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-
 import scala.util.Random
 
 /** Synthetic triple-correctness label models (§7.1.2).
   *
   * Each model yields a per-cluster probability p_i that a triple of cluster i
-  * is correct; labels are then Bernoulli(p_i) per triple (so τ_i | p_i is
-  * Binomial(M_i, p_i), matching the paper's Binomial Mixture construction).
-  *
-  * Every model exists twice: as a driver-side function of (cluster size, rng)
-  * and as a Catalyst Column expression of (size column, seed) so that Spark
-  * generators and the local evolving-KG generator share one definition.
+  * is correct; τ_i | p_i is then Binomial(M_i, p_i), matching the paper's
+  * Binomial Mixture construction.
   */
 sealed trait LabelModel {
   /** Per-cluster accuracy probability. */
   def p(size: Int, rng: Random): Double
-  /** Same as a Column over a cluster-size column; rows = one cluster each. */
-  def pColumn(size: Column, seed: Long): Column
 }
 
 object LabelModels {
   private def clamp(x: Double): Double = math.max(0.0, math.min(1.0, x))
-  private def clampCol(c: Column): Column = least(lit(1.0), greatest(lit(0.0), c))
 
   /** Random Error Model: every triple correct with fixed probability 1 - errorRate. */
   final case class REM(errorRate: Double) extends LabelModel {
     require(errorRate >= 0 && errorRate <= 1)
     def p(size: Int, rng: Random): Double = 1.0 - errorRate
-    def pColumn(size: Column, seed: Long): Column = lit(1.0 - errorRate)
   }
 
   /** Binomial Mixture Model (Eq 15): sigmoid-in-size accuracy plus Normal noise.
@@ -44,11 +33,6 @@ object LabelModels {
       val base = if (size < k) 0.5 else 1.0 / (1.0 + math.exp(-c * (size - k)))
       clamp(base + rng.nextGaussian() * sigma)
     }
-    def pColumn(size: Column, seed: Long): Column = {
-      val base = when(size < k, lit(0.5))
-        .otherwise(lit(1.0) / (lit(1.0) + exp(-lit(c) * (size - lit(k)))))
-      clampCol(base + randn(seed) * sigma)
-    }
   }
 
   /** Per-cluster accuracy p_i = clamp(base + N(0, σ²)) — heterogeneous entity
@@ -59,7 +43,5 @@ object LabelModels {
   final case class NoisyCluster(base: Double, sigma: Double) extends LabelModel {
     require(base >= 0 && base <= 1 && sigma >= 0)
     def p(size: Int, rng: Random): Double = clamp(base + rng.nextGaussian() * sigma)
-    def pColumn(size: Column, seed: Long): Column =
-      clampCol(lit(base) + randn(seed) * sigma)
   }
 }

@@ -29,32 +29,22 @@ object SparkEstimators {
     * μ̂ = avg of per-draw means, MoE from their sample variance.
     * Covers WCS (full clusters) and TWCS (second-stage samples).
     */
-  def clusterEstimate(sample: DataFrame, z: Double): Estimate = {
-    val row = drawMeans(sample).agg(
-      avg(col("cmean")).as("mu"),
-      var_samp(col("cmean")).as("s2"),
-      count(lit(1)).as("n")).head()
-    val n  = row.getAs[Long]("n")
-    val mu = row.getAs[Double]("mu")
-    val moe =
-      if (n < 2 || row.isNullAt(row.fieldIndex("s2"))) Double.PositiveInfinity
-      else z * math.sqrt(row.getAs[Double]("s2") / n)
-    Estimate(mu, moe)
-  }
+  def clusterEstimate(sample: DataFrame, z: Double): Estimate =
+    meanOfDraws(drawMeans(sample).select(col("cmean").as("v")), z)
 
   /** RCS estimator (Eq 7): v_k = (N/M)·τ_{I_k} over fully-annotated draws. */
-  def rcsEstimate(sample: DataFrame, numClusters: Long, numTriples: Long, z: Double): Estimate = {
-    val scale = numClusters.toDouble / numTriples
-    val row = sample.groupBy(col("draw_id"))
-      .agg(sum(col("label").cast("long")).as("tau"))
-      .select((col("tau") * scale).as("v"))
-      .agg(avg(col("v")).as("mu"), var_samp(col("v")).as("s2"), count(lit(1)).as("n"))
-      .head()
-    val n  = row.getAs[Long]("n")
-    val mu = row.getAs[Double]("mu")
+  def rcsEstimate(sample: DataFrame, numClusters: Long, numTriples: Long, z: Double): Estimate =
+    meanOfDraws(sample.groupBy(col("draw_id"))
+      .agg((sum(col("label").cast("long")) * (numClusters.toDouble / numTriples)).as("v")), z)
+
+  /** μ̂ = avg of the per-draw values `v`, MoE = z·√(s²/n); infinite below 2 draws. */
+  private def meanOfDraws(values: DataFrame, z: Double): Estimate = {
+    val row = values.agg(avg(col("v")).as("mu"), var_samp(col("v")).as("s2"),
+                         count(lit(1)).as("n")).head()
+    val n = row.getAs[Long]("n")
     val moe =
       if (n < 2 || row.isNullAt(row.fieldIndex("s2"))) Double.PositiveInfinity
       else z * math.sqrt(row.getAs[Double]("s2") / n)
-    Estimate(mu, moe)
+    Estimate(row.getAs[Double]("mu"), moe)
   }
 }

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -28,34 +28,33 @@ object SparkSamplers {
       .drop("__srs_r", "__srs_rank")
   }
 
+  /** n seeded darts, uniform on 0 until `bound`, as (draw_id, __dart). They
+    * are drawn on one partition, because `rand(seed)` seeds each partition
+    * apart: so the darts are the same whatever the core count.
+    */
+  private def darts(spark: SparkSession, n: Int, bound: Long, seed: Long): DataFrame =
+    spark.range(0, n, 1, 1).select(
+      col("id").as("draw_id"),
+      floor(rand(seed) * bound).cast("long").as("__dart"))
+
   /** n with-replacement cluster draws with P(cluster i) = M_i/M, as
     * (draw_id, subject). Implemented with the "dart" trick: a uniform triple
     * (with replacement) lands in cluster i with probability M_i/M, so we
     * index all triples 0..M-1 and equi-join n random darts on the index.
     */
   def wcsClusterDraws(triples: DataFrame, n: Int, seed: Long): DataFrame = {
-    val spark = triples.sparkSession
-    val m = triples.count()
     val indexed = triples
       .select(col("subject"))
       .withColumn("__idx", row_number().over(Window.orderBy(col("subject"))).cast("long") - 1)
-    val darts = spark.range(n).select(
-      col("id").as("draw_id"),
-      floor(rand(seed) * m).cast("long").as("__dart"))
-    darts.join(indexed, col("__dart") === col("__idx"))
+    darts(triples.sparkSession, n, triples.count(), seed).join(indexed, col("__dart") === col("__idx"))
       .select(col("draw_id"), col("subject"))
   }
 
   /** n uniform (unweighted) cluster draws with replacement, as (draw_id, subject). */
   def rcsClusterDraws(triples: DataFrame, n: Int, seed: Long): DataFrame = {
-    val spark = triples.sparkSession
     val clusters = clusterSummary(triples)
       .withColumn("__idx", row_number().over(Window.orderBy(col("subject"))).cast("long") - 1)
-    val nClusters = clusters.count()
-    val darts = spark.range(n).select(
-      col("id").as("draw_id"),
-      floor(rand(seed) * nClusters).cast("long").as("__dart"))
-    darts.join(clusters, col("__dart") === col("__idx"))
+    darts(triples.sparkSession, n, clusters.count(), seed).join(clusters, col("__dart") === col("__idx"))
       .select(col("draw_id"), col("subject"))
   }
 

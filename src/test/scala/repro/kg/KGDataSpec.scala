@@ -2,6 +2,7 @@ package repro.kg
 
 import repro.SparkSpec
 import repro.core.KGSummary
+import repro.exp.ExpData
 
 import scala.util.Random
 
@@ -94,7 +95,38 @@ class KGDataSpec extends SparkSpec {
     assert(labels.subsetOf(Set(0, 1)))
   }
 
-  // ---- LocalKGGen (driver mirror for evolving updates) ----
+  test("every KG is one law of (seed, subject): Spark on 1, 3 or 8 partitions equals the driver") {
+    val laws = Seq(
+      KGData.nellLaw(KGData.NellSeed) -> ExpData.nell(spark),
+      KGData.yagoLaw(KGData.YagoSeed) -> ExpData.yago(spark),
+      KGData.movieLaw(0.02, KGData.MovieModel, KGData.MovieSeed) -> ExpData.movie(spark, scale = 0.02),
+      KGData.movieLaw(0.05, LabelModels.BMM(0.01, 0.1), KGData.MovieSynSeed) ->
+        ExpData.movieSyn(spark, scale = 0.05))
+    laws.foreach { case (law, driver) =>
+      Seq(1, 3, 8).foreach { parts =>
+        val df = law.toDF(spark.range(1, law.entities + 1L, 1, parts))
+        assert(KGSummary.fromTriples(df).clusters.sortBy(_.id).toSeq == driver.clusters.toSeq,
+          s"${law.entities} entities, seed ${law.seed}, $parts partitions")
+      }
+    }
+    val sparkNell = KGData.nellLike(spark).collect()
+      .map(r => (r.getLong(0), r.getString(1), r.getString(2), r.getInt(3))).toSeq
+    assert(sparkNell == ExpData.kgEvalTriples(spark, "nell")
+      .map(t => (t.subject, t.predicate, t.objectV, t.trueLabel)))
+  }
+
+  test("a cluster's correct lines sit at uniform positions, not first") {
+    // REM(0.5): were the first τ lines the correct ones, line 1 would be
+    // correct whenever τ >= 1 (≈80% of clusters of size >= 2), not 50%.
+    val law = KGData.Law(20000, LocalKGGen.movieSize, LabelModels.REM(0.5),
+                         nPred = 12, nObj = 1000, objConcentration = 1.0, seed = 5)
+    val lines = (1L to law.entities).map(law.triples).filter(_.size >= 2).map(_.map(_._4))
+    val first = lines.map(_.head).sum.toDouble / lines.size
+    val last  = lines.map(_.last).sum.toDouble / lines.size
+    assert(math.abs(first - 0.5) < 0.03 && math.abs(last - 0.5) < 0.03, s"first=$first last=$last")
+  }
+
+  // ---- LocalKGGen (evolving-KG update batches) ----
 
   test("LocalKGGen.movieClustersByTriples reaches its triple target") {
     val rng = new Random(1)

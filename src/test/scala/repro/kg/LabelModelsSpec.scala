@@ -1,12 +1,10 @@
 package repro.kg
 
-import org.apache.spark.sql.functions._
-
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 import scala.util.Random
 
-class LabelModelsSpec extends SparkSpec {
+class LabelModelsSpec extends AnyFunSuite {
   import LabelModels._
 
   test("REM probability is constant and size-independent") {
@@ -58,33 +56,5 @@ class LabelModelsSpec extends SparkSpec {
     val rng = new Random(6)
     val mean = (1 to 20000).map(_ => m.p(2, rng)).sum / 20000
     assert(mean < 0.95 && mean > 0.85, s"got $mean")
-  }
-
-  test("pColumn matches the driver-side value when noise is zero") {
-    import spark.implicits._
-    val sizes = Seq(1, 2, 3, 5, 10, 100).toDF("size")
-    val m = BMM(c = 0.05, sigma = 0.0, k = 3)
-    val got = sizes.select(col("size"), m.pColumn(col("size"), seed = 7).as("p"))
-      .collect().map(r => r.getInt(0) -> r.getDouble(1)).toMap
-    val rng = new Random(8)
-    Seq(1, 2, 3, 5, 10, 100).foreach { s =>
-      assert(math.abs(got(s) - m.p(s, rng)) < 1e-9, s"size $s")
-    }
-  }
-
-  test("REM pColumn is a constant column") {
-    import spark.implicits._
-    val got = Seq(1, 50).toDF("size")
-      .select(REM(0.25).pColumn(col("size"), 9).as("p"))
-      .collect().map(_.getDouble(0))
-    assert(got.forall(_ == 0.75))
-  }
-
-  test("NoisyCluster pColumn stays clamped in Spark too") {
-    import spark.implicits._
-    val got = spark.range(2000).toDF("size")
-      .select(NoisyCluster(0.95, 0.5).pColumn(col("size"), 10).as("p"))
-      .collect().map(_.getDouble(0))
-    assert(got.forall(p => p >= 0.0 && p <= 1.0))
   }
 }
