@@ -1,7 +1,9 @@
 package repro.bench
 
+import scala.util.Random
+
 import repro.SparkSpec
-import repro.core.{KGSummary, Stats}
+import repro.core.{Estimators, KGSummary, LocalSamplers, Stats}
 import repro.kg.KGData
 import repro.spark.{SparkEstimators, SparkSamplers}
 
@@ -41,6 +43,12 @@ class SparkPipelineBench extends SparkSpec {
     println(f"== Spark pipeline: RCS n=200: est=${est.value * 100}%.1f%% moe=${est.moe * 100}%.1f%% ==")
     // RCS is unbiased but high-variance; just require the right ballpark
     assert(math.abs(est.value - kg.accuracy) < 0.25)
+    // Spark draws the driver's clusters, so it must give the driver's estimate
+    val rng = new Random(26)
+    val local = Estimators.meanOfDraws(
+      Seq.fill(200)(LocalSamplers.rcsDraw(kg, rng).hits * (kg.numClusters.toDouble / kg.numTriples)), z95)
+    assert(math.abs(est.value - local.value) < 1e-9 && math.abs(est.moe - local.moe) < 1e-9,
+      s"Spark $est against driver $local")
   }
 
   test("distributed reservoir maintains a weighted sample across an update") {

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.exp.Experiments
 
-/** Shared SparkSession setup for the table-reproduction entrypoints. */
+/** Shared SparkSession setup for the table-reproduction entrypoints and the test suite. */
 object JobSession {
   def build(name: String): SparkSession =
     SparkSession.builder

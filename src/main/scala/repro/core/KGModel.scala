@@ -47,7 +47,8 @@ object KGSummary {
     triples.groupBy(col("subject"))
       .agg(count(lit(1)).as("size"), sum(col("label")).as("tau"))
 
-  /** Collect the Spark cluster summary into the driver-side [[KGSummary]].
+  /** Collect the Spark cluster summary into the driver-side [[KGSummary]],
+    * in subject order, so that it does not depend on the shuffle's order.
     * Fine for all KGs in this reproduction (≤ ~300K clusters).
     */
   def fromTriples(triples: DataFrame): KGSummary = {
@@ -55,6 +56,6 @@ object KGSummary {
     KGSummary(rows.map(r => Cluster(
       r.getAs[Long]("subject"),
       r.getAs[Long]("size").toInt,
-      r.getAs[Long]("tau").toInt)))
+      r.getAs[Long]("tau").toInt)).sortBy(_.id))
   }
 }

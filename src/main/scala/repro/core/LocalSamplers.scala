@@ -6,10 +6,10 @@ import scala.util.Random
   *
   * Used by the Monte-Carlo harness (the paper repeats every design 1000×; a
   * Spark job per trial would be pure overhead). Statistically identical to the
-  * DataFrame samplers in `repro.spark`: a design only interacts with the KG
-  * through cluster sizes and draw outcomes, and drawing j triples without
-  * replacement from a cluster with τ correct among M is exactly a
-  * Hypergeometric(M, τ, j) draw.
+  * DataFrame samplers in `repro.spark`, whose WCS/RCS first stage is this
+  * code: a design only interacts with the KG through cluster sizes and draw
+  * outcomes, and drawing j triples without replacement from a cluster with τ
+  * correct among M is exactly a Hypergeometric(M, τ, j) draw.
   */
 object LocalSamplers {
 

@@ -1,12 +1,18 @@
 package repro.spark
 
+import scala.util.Random
+
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.physical.SinglePartition
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
-import repro.core.KGSummary
+import repro.core.{KGSummary, LocalSamplers}
+import repro.kg.KGData
 
-class SparkSamplersSpec extends SparkSpec {
+class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   import spark.implicits._
 
   /** 4 clusters with sizes 1/2/3/6 and known labels. */
@@ -169,5 +175,68 @@ class SparkSamplersSpec extends SparkSpec {
     val kept = SparkSamplers.reservoirMerge(a, b, 2).select("subject").collect()
       .map(_.getAs[Long]("subject")).toSet
     assert(kept == Set(3L, 4L))
+  }
+
+  // ---- one first-stage law, partition-free plans ----
+
+  private def drawIds(draws: DataFrame): Seq[Long] =
+    draws.orderBy("draw_id").select("subject").collect().map(_.getLong(0)).toSeq
+
+  test("wcs/rcs cluster draws are LocalSamplers' draws from new Random(seed)") {
+    val kg = KGSummary.fromTriples(triples)
+    def local(draw: (KGSummary, Random) => LocalSamplers.ClusterDraw, seed: Long) = {
+      val rng = new Random(seed)
+      Seq.fill(40)(draw(kg, rng).cluster.id)
+    }
+    assert(drawIds(SparkSamplers.wcsClusterDraws(triples, 40, seed = 11)) == local(LocalSamplers.wcsDraw, 11))
+    assert(drawIds(SparkSamplers.rcsClusterDraws(triples, 40, seed = 12)) == local(LocalSamplers.rcsDraw, 12))
+  }
+
+  /** The executed plan's exchanges to a single partition (global windows, global sorts). */
+  private def singlePartitionExchanges(df: DataFrame) = {
+    df.collect()
+    collect(df.queryExecution.executedPlan) {
+      case e: ShuffleExchangeLike if e.outputPartitioning == SinglePartition => e
+    }
+  }
+
+  test("no sampler plans an exchange to a single partition") {
+    val summary = SparkSamplers.clusterSummary(triples)
+    val plans = Seq(
+      "twcs" -> SparkSamplers.twcsSample(triples, n = 20, m = 2, seed = 13),
+      "rcs" -> SparkSamplers.expandDraws(SparkSamplers.rcsClusterDraws(triples, 20, seed = 14), triples),
+      "srs" -> SparkSamplers.srsTriples(triples, 5, seed = 15),
+      "reservoir" -> SparkSamplers.reservoirMerge(SparkSamplers.aResKeys(summary, seed = 16),
+                                                  SparkSamplers.aResKeys(summary, seed = 17), 3))
+    plans.foreach { case (name, df) =>
+      val single = singlePartitionExchanges(df)
+      assert(single.isEmpty, s"$name: ${single.mkString("; ")}")
+    }
+  }
+
+  test("every sample is the same on 1, 3 or 8 partitions of the KG") {
+    val kg = KGData.movieLike(spark, scale = 0.02, seed = 31)
+    def rows(df: DataFrame) = df.collect().map(_.toSeq.mkString(",")).sorted.toSeq
+    def samples(parts: Int): Seq[Seq[String]] = {
+      val t = kg.repartition(parts).cache()
+      val summary = SparkSamplers.clusterSummary(t)
+      val out = Seq(
+        SparkSamplers.twcsSample(t, n = 30, m = 3, seed = 32),
+        SparkSamplers.srsTriples(t, 50, seed = 33),
+        SparkSamplers.expandDraws(SparkSamplers.rcsClusterDraws(t, 30, seed = 34), t),
+        SparkSamplers.reservoirMerge(
+          SparkSamplers.aResKeys(summary.where(col("subject") % 2 === 0), seed = 35),
+          SparkSamplers.aResKeys(summary.where(col("subject") % 2 === 1), seed = 36), 20)
+      ).map(rows)
+      t.unpersist()
+      out
+    }
+    val one = samples(1)
+    assert(one.forall(_.nonEmpty))
+    Seq(3, 8).foreach { parts =>
+      samples(parts).zip(Seq("twcs", "srs", "rcs", "reservoir")).zip(one).foreach {
+        case ((s, name), base) => assert(s == base, s"$name on $parts partitions")
+      }
+    }
   }
 }
