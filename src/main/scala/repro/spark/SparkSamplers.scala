@@ -2,7 +2,7 @@ package repro.spark
 
 import scala.util.Random
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -16,8 +16,9 @@ import repro.core.{KGSummary, LocalSamplers}
   * The WCS/RCS first stage is drawn on the driver by `LocalSamplers`, the
   * code the Monte-Carlo path runs, over `KGSummary.fromTriples`; Spark only
   * fetches the drawn clusters' triples. Every other random choice is keyed by
-  * a seeded hash of the row's own values, so each sample is a function of
-  * (seed, rows) alone, whatever the partitioning or core count.
+  * a seeded hash of the row's own values and of its occurrence number among
+  * identical rows, so repeated rows are distinct triples and each sample is a
+  * function of (seed, rows) alone, whatever the partitioning or core count.
   */
 object SparkSamplers {
 
@@ -25,13 +26,20 @@ object SparkSamplers {
   def clusterSummary(triples: DataFrame): DataFrame =
     KGSummary.clusterSummaryDF(triples)
 
-  /** The random key of each row of `df`: a seeded 64-bit hash of all its values. */
-  private def rowKey(df: DataFrame, seed: Long): Column =
-    xxhash64(lit(seed) +: df.columns.toSeq.map(col): _*)
+  /** `df` plus a random `__key`: a seeded hash of the row's values and of its
+    * occurrence number among identical rows, so copies draw independent keys.
+    */
+  private def withRowKey(df: DataFrame, seed: Long): DataFrame = {
+    val values = df.columns.toSeq.map(col)
+    val occurrence = row_number().over(Window.partitionBy(values: _*).orderBy(lit(0)))
+    df.withColumn("__key", xxhash64(lit(seed) +: values :+ occurrence: _*))
+  }
 
-  /** SRS of exactly n triples without replacement: the n smallest row keys. */
-  def srsTriples(triples: DataFrame, n: Long, seed: Long): DataFrame =
-    triples.orderBy(rowKey(triples, seed)).limit(math.toIntExact(n))
+  /** SRS of exactly n <= Int.MaxValue triples without replacement: the n smallest row keys. */
+  def srsTriples(triples: DataFrame, n: Long, seed: Long): DataFrame = {
+    require(n <= Int.MaxValue, s"srsTriples draws at most Int.MaxValue triples, not $n")
+    withRowKey(triples, seed).orderBy("__key").limit(n.toInt).drop("__key")
+  }
 
   /** n first-stage draws from `new Random(seed)` over the cluster summary,
     * as a local (draw_id, subject) DataFrame.
@@ -40,8 +48,7 @@ object SparkSamplers {
                           (draw: (KGSummary, Random) => LocalSamplers.ClusterDraw): DataFrame = {
     val kg  = KGSummary.fromTriples(triples)
     val rng = new Random(seed)
-    val spark = triples.sparkSession
-    import spark.implicits._
+    import triples.sparkSession.implicits._
     Seq.tabulate(n)(i => (i.toLong, draw(kg, rng).cluster.id)).toDF("draw_id", "subject")
   }
 
@@ -61,25 +68,20 @@ object SparkSamplers {
   def expandDraws(draws: DataFrame, triples: DataFrame): DataFrame =
     broadcast(draws).join(triples, Seq("subject"))
 
-  /** TWCS sample: WCS first stage, then per draw an SRS of at most m triples
-    * without replacement inside the cluster.
-    */
-  def twcsSample(triples: DataFrame, n: Int, m: Int, seed: Long): DataFrame = {
-    val draws = wcsClusterDraws(triples, n, seed)
-    secondStage(draws, triples, m, seed + 1)
-  }
+  /** TWCS sample: WCS first stage, then per draw an SRS of at most m of the cluster's triples. */
+  def twcsSample(triples: DataFrame, n: Int, m: Int, seed: Long): DataFrame =
+    secondStage(wcsClusterDraws(triples, n, seed), triples, m, seed + 1)
 
   /** Second-stage SRS of <= m triples per (draw_id, cluster): the m smallest
     * row keys of each draw. The key covers `draw_id`, so repeated draws of a
     * cluster re-sample independently.
     */
   def secondStage(draws: DataFrame, triples: DataFrame, m: Int, seed: Long): DataFrame = {
-    val expanded = expandDraws(draws, triples)
-    val w = Window.partitionBy(col("draw_id")).orderBy(rowKey(expanded, seed))
-    expanded
+    val w = Window.partitionBy(col("draw_id")).orderBy(col("__key"))
+    withRowKey(expandDraws(draws, triples), seed)
       .withColumn("__ss_rank", row_number().over(w))
       .where(col("__ss_rank") <= m)
-      .drop("__ss_rank")
+      .drop("__ss_rank", "__key")
   }
 
   /** Efraimidis–Spirakis A-Res keys: key_i = u^(1/M_i) with u ~ U(0,1], u the
@@ -88,13 +90,11 @@ object SparkSamplers {
     * replacement — the reservoir invariant maintained on evolving KGs.
     */
   def aResKeys(summary: DataFrame, seed: Long): DataFrame = {
-    val u = (shiftrightunsigned(rowKey(summary, seed), 11) + 1).cast("double") / math.pow(2, 53)
-    summary.withColumn("key", pow(u, lit(1.0) / col("size")))
+    val u = (shiftrightunsigned(col("__key"), 11) + 1).cast("double") / math.pow(2, 53)
+    withRowKey(summary, seed).withColumn("key", pow(u, lit(1.0) / col("size"))).drop("__key")
   }
 
-  /** Merge reservoir states: keep the `capacity` largest keys of the union.
-    * Both inputs must have (subject, size, tau, key).
-    */
+  /** Merge two (subject, size, tau, key) reservoir states: the `capacity` largest keys. */
   def reservoirMerge(current: DataFrame, incoming: DataFrame, capacity: Int): DataFrame =
     current.unionByName(incoming).orderBy(col("key").desc, col("subject")).limit(capacity)
 }

@@ -6,6 +6,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.plans.physical.SinglePartition
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
+import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
@@ -73,6 +74,34 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     // cluster 4 holds half the triples -> about half of all sampled rows
     val total = counts.values.sum.toDouble
     assert(math.abs(counts(4L) / total - 0.5) < 0.1)
+  }
+
+  // ---- duplicate rows: each copy is its own triple ----
+
+  test("srsTriples draws each copy of a repeated row, with (subject, label)-only input") {
+    // three identical correct rows and one wrong row: a single draw is correct w.p. 3/4
+    val dup = Seq((1L, 1), (1L, 1), (1L, 1), (1L, 0)).toDF("subject", "label")
+    val correct = (0 until 120).count { s =>
+      SparkSamplers.srsTriples(dup, 1, seed = 200 + s).head().getInt(1) == 1
+    }
+    assert(math.abs(correct / 120.0 - 0.75) < 0.13, s"$correct/120 correct")
+    // without replacement over the copies: both copies of a pair rarely come together
+    val pairs = (1L to 100L).flatMap(s => Seq((s, 1), (s, 1), (s, 0))).toDF("subject", "label")
+    val both = SparkSamplers.srsTriples(pairs, 30, seed = 41)
+      .where(col("label") === 1).groupBy("subject").count().where(col("count") === 2).count()
+    assert(both < 6, s"$both subjects with both copies, about 1 expected")
+  }
+
+  test("secondStage draws each copy of a repeated row, with duplicate full rows") {
+    // per cluster [A, A, B] with A correct: m = 1 is correct w.p. 2/3, m = 2 is A,A w.p. 1/3
+    val dup = (1L to 50L).flatMap(s => Seq((s, "p", "o", 1), (s, "p", "o", 1), (s, "q", "o", 0)))
+      .toDF("subject", "predicate", "object", "label")
+    val draws = (0L until 2000L).map(i => (i, i % 50 + 1)).toDF("draw_id", "subject")
+    val one = SparkSamplers.secondStage(draws, dup, m = 1, seed = 42).agg(avg("label")).head().getDouble(0)
+    assert(math.abs(one - 2.0 / 3) < 0.05, s"m = 1: $one correct")
+    val aa = SparkSamplers.secondStage(draws, dup, m = 2, seed = 43)
+      .groupBy("draw_id").agg(sum("label").as("hits")).where(col("hits") === 2).count() / 2000.0
+    assert(math.abs(aa - 1.0 / 3) < 0.05, s"m = 2: $aa of draws took both copies")
   }
 
   // ---- WCS / RCS first stage ----
@@ -192,15 +221,19 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(drawIds(SparkSamplers.rcsClusterDraws(triples, 40, seed = 12)) == local(LocalSamplers.rcsDraw, 12))
   }
 
-  /** The executed plan's exchanges to a single partition (global windows, global sorts). */
-  private def singlePartitionExchanges(df: DataFrame) = {
+  /** The executed plan's global windows and exchanges to a single partition.
+    * A top-n (TakeOrderedAndProject) merges its partitions' top-n rows on one
+    * task without such an exchange; that is allowed.
+    */
+  private def singlePartitionOps(df: DataFrame) = {
     df.collect()
     collect(df.queryExecution.executedPlan) {
       case e: ShuffleExchangeLike if e.outputPartitioning == SinglePartition => e
+      case w: WindowExec if w.partitionSpec.isEmpty => w
     }
   }
 
-  test("no sampler plans an exchange to a single partition") {
+  test("no sampler plans a global window or an exchange to a single partition") {
     val summary = SparkSamplers.clusterSummary(triples)
     val plans = Seq(
       "twcs" -> SparkSamplers.twcsSample(triples, n = 20, m = 2, seed = 13),
@@ -209,7 +242,7 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       "reservoir" -> SparkSamplers.reservoirMerge(SparkSamplers.aResKeys(summary, seed = 16),
                                                   SparkSamplers.aResKeys(summary, seed = 17), 3))
     plans.foreach { case (name, df) =>
-      val single = singlePartitionExchanges(df)
+      val single = singlePartitionOps(df)
       assert(single.isEmpty, s"$name: ${single.mkString("; ")}")
     }
   }
