@@ -44,7 +44,7 @@ object ExpData {
       case other  => throw new IllegalArgumentException(s"unknown small KG $other")
     }
     (1L to law.entities).flatMap(law.triples).zipWithIndex.map {
-      case ((subject, predicate, obj, label), i) => KGEval.Triple(i, subject, predicate, obj, label)
+      case ((subject, _, predicate, obj, label), i) => KGEval.Triple(i, subject, predicate, obj, label)
     }
   }
 }

@@ -11,9 +11,11 @@ import scala.util.Random
 /** Synthetic knowledge graphs matched to the data characteristics of Table 3.
   *
   * Each generator yields a triples DataFrame
-  *   (subject: long, predicate: string, object: string, label: int)
+  *   (subject: long, line: int, predicate: string, object: string, label: int)
   * where `label` is the ground-truth correctness (1 = correct). Subjects are
-  * dense ids; an entity cluster is the set of rows sharing a subject.
+  * dense ids; an entity cluster is the set of rows sharing a subject, and
+  * `line` numbers them 0 until the cluster size, so (subject, line) names one
+  * triple even where two lines carry the same predicate, object and label.
   *
   * See DESIGN.md §3 for the dataset substitutions: the paper's results depend
   * only on the cluster-size distribution, the per-cluster accuracy
@@ -43,11 +45,11 @@ object KGData {
     def summary: KGSummary =
       KGSummary(Array.tabulate(entities)(i => LocalKGGen.cluster(i + 1L, size, model, stream(i + 1L))))
 
-    /** The (subject, predicate, object, label) triples of one subject. Its τ
+    /** The (subject, line, predicate, object, label) triples of one subject. Its τ
       * correct lines are a uniform τ-subset, by selection sampling (a line is
       * correct w.p. correct-lines-left / lines-left): line order carries no label.
       */
-    def triples(subject: Long): Seq[(Long, String, String, Int)] = {
+    def triples(subject: Long): Seq[(Long, Int, String, String, Int)] = {
       val rng = stream(subject)
       val c   = LocalKGGen.cluster(subject, size, model, rng)
       var correctLeft = c.tau
@@ -56,7 +58,7 @@ object KGData {
         val obj       = s"o${(math.pow(rng.nextDouble(), objConcentration) * nObj).toLong}"
         val correct   = rng.nextDouble() * (c.size - line) < correctLeft
         if (correct) correctLeft -= 1
-        (subject, predicate, obj, if (correct) 1 else 0)
+        (subject, line, predicate, obj, if (correct) 1 else 0)
       }
     }
 
@@ -64,7 +66,7 @@ object KGData {
     def toDF(subjects: Dataset[java.lang.Long]): DataFrame = {
       val spark = subjects.sparkSession
       import spark.implicits._
-      subjects.flatMap(s => triples(s)).toDF("subject", "predicate", "object", "label")
+      subjects.flatMap(s => triples(s)).toDF("subject", "line", "predicate", "object", "label")
     }
 
     def toDF(spark: SparkSession): DataFrame = toDF(spark.range(1, entities + 1L))

@@ -3,11 +3,12 @@ package repro.spark
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.core.Estimate
+import repro.core.{Estimate, Estimators}
 
-/** Accuracy estimators as DataFrame aggregations (the "Estimation" component
-  * of Fig 2, distributed). Each mirrors a formula in `repro.core.Estimators`
-  * and is oracle-checked against DuckDB in the test suite.
+/** Accuracy estimators over sampled DataFrames (the "Estimation" component
+  * of Fig 2, distributed): Spark aggregates per draw (oracle-checked against
+  * DuckDB in the test suite), and the driver applies the `Estimators` formula
+  * the Monte-Carlo path uses to those few rows.
   */
 object SparkEstimators {
 
@@ -22,29 +23,26 @@ object SparkEstimators {
     val row = sample.agg(
       sum(col("label").cast("long")).as("correct"),
       count(lit(1)).as("n")).head()
-    repro.core.Estimators.srs(row.getAs[Long]("correct"), row.getAs[Long]("n"), z)
+    Estimators.srs(row.getAs[Long]("correct"), row.getAs[Long]("n"), z)
   }
 
   /** Mean-of-draws estimator (Eqs 8/9) over a (draw_id, label) sample:
-    * μ̂ = avg of per-draw means, MoE from their sample variance.
-    * Covers WCS (full clusters) and TWCS (second-stage samples).
+    * `Estimators.meanOfDraws` of the per-draw means. Covers WCS (full
+    * clusters) and TWCS (second-stage samples).
     */
   def clusterEstimate(sample: DataFrame, z: Double): Estimate =
-    meanOfDraws(drawMeans(sample).select(col("cmean").as("v")), z)
+    Estimators.meanOfDraws(perDraw(drawMeans(sample), "cmean"), z)
 
   /** RCS estimator (Eq 7): v_k = (N/M)·τ_{I_k} over fully-annotated draws. */
-  def rcsEstimate(sample: DataFrame, numClusters: Long, numTriples: Long, z: Double): Estimate =
-    meanOfDraws(sample.groupBy(col("draw_id"))
-      .agg((sum(col("label").cast("long")) * (numClusters.toDouble / numTriples)).as("v")), z)
-
-  /** μ̂ = avg of the per-draw values `v`, MoE = z·√(s²/n); infinite below 2 draws. */
-  private def meanOfDraws(values: DataFrame, z: Double): Estimate = {
-    val row = values.agg(avg(col("v")).as("mu"), var_samp(col("v")).as("s2"),
-                         count(lit(1)).as("n")).head()
-    val n = row.getAs[Long]("n")
-    val moe =
-      if (n < 2 || row.isNullAt(row.fieldIndex("s2"))) Double.PositiveInfinity
-      else z * math.sqrt(row.getAs[Double]("s2") / n)
-    Estimate(row.getAs[Double]("mu"), moe)
+  def rcsEstimate(sample: DataFrame, numClusters: Long, numTriples: Long, z: Double): Estimate = {
+    val hits = perDraw(sample.groupBy(col("draw_id")).agg(sum(col("label").cast("double")).as("hits")), "hits")
+    Estimators.meanOfDraws(hits.map(_ * (numClusters.toDouble / numTriples)), z)
   }
+
+  /** One (draw_id, `value`) row per draw, collected and put in draw order, so
+    * the estimate does not depend on the order partitions return their rows.
+    */
+  private def perDraw(draws: DataFrame, value: String): Seq[Double] =
+    draws.select(col("draw_id"), col(value)).collect()
+      .sortBy(_.getLong(0)).map(_.getDouble(1)).toSeq
 }

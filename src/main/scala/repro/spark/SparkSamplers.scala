@@ -10,15 +10,16 @@ import repro.core.{KGSummary, LocalSamplers}
 
 /** DataFrame implementations of the paper's sampling designs.
   *
-  * Input "triples" DataFrames must carry at least `subject` (long) and
-  * `label` (0/1 int); extra columns (predicate, object) pass through.
+  * Input "triples" DataFrames carry `subject` (long), `line` (int) and
+  * `label` (0/1 int), with (subject, line) unique, as `KGData` generates
+  * them; extra columns (predicate, object) pass through.
   *
   * The WCS/RCS first stage is drawn on the driver by `LocalSamplers`, the
   * code the Monte-Carlo path runs, over `KGSummary.fromTriples`; Spark only
   * fetches the drawn clusters' triples. Every other random choice is keyed by
-  * a seeded hash of the row's own values and of its occurrence number among
-  * identical rows, so repeated rows are distinct triples and each sample is a
-  * function of (seed, rows) alone, whatever the partitioning or core count.
+  * a seeded `xxhash64` of the triple's (subject, line), or of the subject for
+  * a cluster, so each sample is a function of (seed, rows) alone, whatever
+  * the partitioning or core count.
   */
 object SparkSamplers {
 
@@ -26,19 +27,16 @@ object SparkSamplers {
   def clusterSummary(triples: DataFrame): DataFrame =
     KGSummary.clusterSummaryDF(triples)
 
-  /** `df` plus a random `__key`: a seeded hash of the row's values and of its
-    * occurrence number among identical rows, so copies draw independent keys.
-    */
-  private def withRowKey(df: DataFrame, seed: Long): DataFrame = {
-    val values = df.columns.toSeq.map(col)
-    val occurrence = row_number().over(Window.partitionBy(values: _*).orderBy(lit(0)))
-    df.withColumn("__key", xxhash64(lit(seed) +: values :+ occurrence: _*))
+  /** A seeded hash of the columns `ids` and of (subject, line), which names one triple. */
+  private def tripleKey(triples: DataFrame, seed: Long, ids: String*) = {
+    require(triples.columns.contains("line"), "triples need a `line` column: (subject, line) names one triple")
+    xxhash64(lit(seed) +: (ids :+ "subject" :+ "line").map(col): _*)
   }
 
-  /** SRS of exactly n <= Int.MaxValue triples without replacement: the n smallest row keys. */
+  /** SRS of exactly n <= Int.MaxValue triples without replacement: the n smallest triple keys. */
   def srsTriples(triples: DataFrame, n: Long, seed: Long): DataFrame = {
     require(n <= Int.MaxValue, s"srsTriples draws at most Int.MaxValue triples, not $n")
-    withRowKey(triples, seed).orderBy("__key").limit(n.toInt).drop("__key")
+    triples.orderBy(tripleKey(triples, seed)).limit(n.toInt)
   }
 
   /** n first-stage draws from `new Random(seed)` over the cluster summary,
@@ -73,25 +71,26 @@ object SparkSamplers {
     secondStage(wcsClusterDraws(triples, n, seed), triples, m, seed + 1)
 
   /** Second-stage SRS of <= m triples per (draw_id, cluster): the m smallest
-    * row keys of each draw. The key covers `draw_id`, so repeated draws of a
-    * cluster re-sample independently.
+    * triple keys of each draw. The key covers `draw_id`, so repeated draws of
+    * a cluster re-sample independently.
     */
   def secondStage(draws: DataFrame, triples: DataFrame, m: Int, seed: Long): DataFrame = {
-    val w = Window.partitionBy(col("draw_id")).orderBy(col("__key"))
-    withRowKey(expandDraws(draws, triples), seed)
+    val w = Window.partitionBy(col("draw_id")).orderBy(tripleKey(triples, seed, "draw_id"))
+    expandDraws(draws, triples)
       .withColumn("__ss_rank", row_number().over(w))
       .where(col("__ss_rank") <= m)
-      .drop("__ss_rank", "__key")
+      .drop("__ss_rank")
   }
 
   /** Efraimidis–Spirakis A-Res keys: key_i = u^(1/M_i) with u ~ U(0,1], u the
-    * row key's top 53 bits. Input: cluster summary (subject, size, tau); adds `key`.
+    * top 53 bits of a seeded hash of the subject. Input: cluster summary
+    * (subject, size, tau), one row per subject; adds `key`.
     * The size-m prefix by descending key is a size-weighted sample without
     * replacement — the reservoir invariant maintained on evolving KGs.
     */
   def aResKeys(summary: DataFrame, seed: Long): DataFrame = {
-    val u = (shiftrightunsigned(col("__key"), 11) + 1).cast("double") / math.pow(2, 53)
-    withRowKey(summary, seed).withColumn("key", pow(u, lit(1.0) / col("size"))).drop("__key")
+    val u = (shiftrightunsigned(xxhash64(lit(seed), col("subject")), 11) + 1).cast("double") / math.pow(2, 53)
+    summary.withColumn("key", pow(u, lit(1.0) / col("size")))
   }
 
   /** Merge two (subject, size, tau, key) reservoir states: the `capacity` largest keys. */

@@ -1,5 +1,7 @@
 package repro.kg
 
+import org.apache.spark.sql.DataFrame
+
 import repro.SparkSpec
 import repro.core.KGSummary
 import repro.exp.ExpData
@@ -90,10 +92,16 @@ class KGDataSpec extends SparkSpec {
 
   test("triples carry the expected schema") {
     val df = KGData.yagoLike(spark)
-    assert(df.columns.toSet == Set("subject", "predicate", "object", "label"))
+    assert(df.columns.toSet == Set("subject", "line", "predicate", "object", "label"))
     val labels = df.select("label").distinct().collect().map(_.getInt(0)).toSet
     assert(labels.subsetOf(Set(0, 1)))
   }
+
+  /** A triples DataFrame's rows as `Law.triples` tuples, in (subject, line) order. */
+  private def lawRows(df: DataFrame) = df.collect().toSeq
+    .map(r => (r.getAs[Long]("subject"), r.getAs[Int]("line"), r.getAs[String]("predicate"),
+               r.getAs[String]("object"), r.getAs[Int]("label")))
+    .sortBy(r => (r._1, r._2))
 
   test("every KG is one law of (seed, subject): Spark on 1, 3 or 8 partitions equals the driver") {
     val laws = Seq(
@@ -103,14 +111,20 @@ class KGDataSpec extends SparkSpec {
       KGData.movieLaw(0.05, LabelModels.BMM(0.01, 0.1), KGData.MovieSynSeed) ->
         ExpData.movieSyn(spark, scale = 0.05))
     laws.foreach { case (law, driver) =>
+      val expected = (1L to law.entities).flatMap(law.triples)
       Seq(1, 3, 8).foreach { parts =>
         val df = law.toDF(spark.range(1, law.entities + 1L, 1, parts))
-        assert(KGSummary.fromTriples(df).clusters.toSeq == driver.clusters.toSeq,
-          s"${law.entities} entities, seed ${law.seed}, $parts partitions")
+        val where = s"${law.entities} entities, seed ${law.seed}, $parts partitions"
+        assert(KGSummary.fromTriples(df).clusters.toSeq == driver.clusters.toSeq, where)
+        // each subject's lines are 0 until its size, and every row is the law's
+        val rows = lawRows(df)
+        val lines = rows.groupMap(_._1)(_._2)
+        assert(driver.clusters.forall(c => lines(c.id) == (0 until c.size)), where)
+        assert(rows == expected, where)
       }
     }
-    val sparkNell = KGData.nellLike(spark).collect()
-      .map(r => (r.getLong(0), r.getString(1), r.getString(2), r.getInt(3))).toSeq
+    val sparkNell = lawRows(KGData.nellLike(spark))
+      .map { case (subject, _, predicate, obj, label) => (subject, predicate, obj, label) }
     assert(sparkNell == ExpData.kgEvalTriples(spark, "nell")
       .map(t => (t.subject, t.predicate, t.objectV, t.trueLabel)))
   }
@@ -120,7 +134,7 @@ class KGDataSpec extends SparkSpec {
     // correct whenever τ >= 1 (≈80% of clusters of size >= 2), not 50%.
     val law = KGData.Law(20000, LocalKGGen.movieSize, LabelModels.REM(0.5),
                          nPred = 12, nObj = 1000, objConcentration = 1.0, seed = 5)
-    val lines = (1L to law.entities).map(law.triples).filter(_.size >= 2).map(_.map(_._4))
+    val lines = (1L to law.entities).map(law.triples).filter(_.size >= 2).map(_.map(_._5))
     val first = lines.map(_.head).sum.toDouble / lines.size
     val last  = lines.map(_.last).sum.toDouble / lines.size
     assert(math.abs(first - 0.5) < 0.03 && math.abs(last - 0.5) < 0.03, s"first=$first last=$last")

@@ -65,10 +65,10 @@ class SparkEstimatorsSpec extends SparkSpec {
     val rng = new scala.util.Random(11)
     val rows = (1L to 300L).flatMap { s =>
       val size = 1 + rng.nextInt(6)
-      (1 to size).map(i => (s, s"p${i % 3}", s"o$i", if (rng.nextDouble() < 0.6) 1 else 0))
+      (1 to size).map(i => (s, i - 1, s"p${i % 3}", s"o$i", if (rng.nextDouble() < 0.6) 1 else 0))
     }
-    val triples = rows.toDF("subject", "predicate", "object", "label")
-    val truth = rows.count(_._4 == 1).toDouble / rows.size
+    val triples = rows.toDF("subject", "line", "predicate", "object", "label")
+    val truth = rows.count(_._5 == 1).toDouble / rows.size
     val sampleDf = SparkSamplers.twcsSample(triples, n = 400, m = 2, seed = 12)
     val est = SparkEstimators.clusterEstimate(sampleDf, z95)
     assert(math.abs(est.value - truth) < 0.08, s"est ${est.value} vs truth $truth")

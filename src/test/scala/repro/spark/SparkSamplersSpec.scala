@@ -3,7 +3,9 @@ package repro.spark
 import scala.util.Random
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.plans.physical.SinglePartition
+import org.apache.spark.sql.catalyst.expressions.Attribute
+import org.apache.spark.sql.catalyst.plans.physical.{HashPartitioning, SinglePartition}
+import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.execution.window.WindowExec
@@ -16,14 +18,14 @@ import repro.kg.KGData
 class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   import spark.implicits._
 
-  /** 4 clusters with sizes 1/2/3/6 and known labels. */
+  /** 4 clusters with sizes 1/2/3/6 and known labels; `line` numbers each cluster's triples. */
   private lazy val triples: DataFrame = Seq(
-    (1L, "pA", "o1", 1),
-    (2L, "pA", "o2", 1), (2L, "pB", "o3", 0),
-    (3L, "pA", "o1", 1), (3L, "pB", "o4", 1), (3L, "pC", "o5", 0),
-    (4L, "pA", "o1", 1), (4L, "pA", "o2", 1), (4L, "pB", "o3", 1),
-    (4L, "pB", "o4", 0), (4L, "pC", "o5", 0), (4L, "pC", "o6", 1)
-  ).toDF("subject", "predicate", "object", "label").cache()
+    (1L, 0, "pA", "o1", 1),
+    (2L, 0, "pA", "o2", 1), (2L, 1, "pB", "o3", 0),
+    (3L, 0, "pA", "o1", 1), (3L, 1, "pB", "o4", 1), (3L, 2, "pC", "o5", 0),
+    (4L, 0, "pA", "o1", 1), (4L, 1, "pA", "o2", 1), (4L, 2, "pB", "o3", 1),
+    (4L, 3, "pB", "o4", 0), (4L, 4, "pC", "o5", 0), (4L, 5, "pC", "o6", 1)
+  ).toDF("subject", "line", "predicate", "object", "label").cache()
 
   // ---- cluster summary ----
 
@@ -76,32 +78,40 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(math.abs(counts(4L) / total - 0.5) < 0.1)
   }
 
-  // ---- duplicate rows: each copy is its own triple ----
+  // ---- duplicate rows: each copy is its own triple, told apart by line ----
 
-  test("srsTriples draws each copy of a repeated row, with (subject, label)-only input") {
-    // three identical correct rows and one wrong row: a single draw is correct w.p. 3/4
-    val dup = Seq((1L, 1), (1L, 1), (1L, 1), (1L, 0)).toDF("subject", "label")
+  test("srsTriples draws each copy of a repeated row, told apart by line") {
+    // three correct copies and one wrong row: a single draw is correct w.p. 3/4
+    val dup = Seq((1L, 0, 1), (1L, 1, 1), (1L, 2, 1), (1L, 3, 0)).toDF("subject", "line", "label")
     val correct = (0 until 120).count { s =>
-      SparkSamplers.srsTriples(dup, 1, seed = 200 + s).head().getInt(1) == 1
+      SparkSamplers.srsTriples(dup, 1, seed = 200 + s).head().getAs[Int]("label") == 1
     }
     assert(math.abs(correct / 120.0 - 0.75) < 0.13, s"$correct/120 correct")
     // without replacement over the copies: both copies of a pair rarely come together
-    val pairs = (1L to 100L).flatMap(s => Seq((s, 1), (s, 1), (s, 0))).toDF("subject", "label")
+    val pairs = (1L to 100L).flatMap(s => Seq((s, 0, 1), (s, 1, 1), (s, 2, 0))).toDF("subject", "line", "label")
     val both = SparkSamplers.srsTriples(pairs, 30, seed = 41)
       .where(col("label") === 1).groupBy("subject").count().where(col("count") === 2).count()
     assert(both < 6, s"$both subjects with both copies, about 1 expected")
   }
 
-  test("secondStage draws each copy of a repeated row, with duplicate full rows") {
+  test("secondStage draws each copy of a repeated row, told apart by line") {
     // per cluster [A, A, B] with A correct: m = 1 is correct w.p. 2/3, m = 2 is A,A w.p. 1/3
-    val dup = (1L to 50L).flatMap(s => Seq((s, "p", "o", 1), (s, "p", "o", 1), (s, "q", "o", 0)))
-      .toDF("subject", "predicate", "object", "label")
+    val dup = (1L to 50L).flatMap(s => Seq((s, 0, "p", "o", 1), (s, 1, "p", "o", 1), (s, 2, "q", "o", 0)))
+      .toDF("subject", "line", "predicate", "object", "label")
     val draws = (0L until 2000L).map(i => (i, i % 50 + 1)).toDF("draw_id", "subject")
     val one = SparkSamplers.secondStage(draws, dup, m = 1, seed = 42).agg(avg("label")).head().getDouble(0)
     assert(math.abs(one - 2.0 / 3) < 0.05, s"m = 1: $one correct")
     val aa = SparkSamplers.secondStage(draws, dup, m = 2, seed = 43)
       .groupBy("draw_id").agg(sum("label").as("hits")).where(col("hits") === 2).count() / 2000.0
     assert(math.abs(aa - 1.0 / 3) < 0.05, s"m = 2: $aa of draws took both copies")
+  }
+
+  test("a triples frame without a line column is rejected") {
+    val noLine = triples.drop("line")
+    val srs = intercept[IllegalArgumentException](SparkSamplers.srsTriples(noLine, 2, seed = 18))
+    val draws = Seq((0L, 4L)).toDF("draw_id", "subject")
+    val second = intercept[IllegalArgumentException](SparkSamplers.secondStage(draws, noLine, m = 2, seed = 19))
+    assert(Seq(srs, second).forall(_.getMessage.contains("`line`")))
   }
 
   // ---- WCS / RCS first stage ----
@@ -221,17 +231,23 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(drawIds(SparkSamplers.rcsClusterDraws(triples, 40, seed = 12)) == local(LocalSamplers.rcsDraw, 12))
   }
 
+  /** The operators `pick` selects from `df`'s executed plan. */
+  private def executed[A](df: DataFrame)(pick: PartialFunction[SparkPlan, A]): Seq[A] = {
+    df.collect()
+    collect(df.queryExecution.executedPlan)(pick)
+  }
+
   /** The executed plan's global windows and exchanges to a single partition.
     * A top-n (TakeOrderedAndProject) merges its partitions' top-n rows on one
     * task without such an exchange; that is allowed.
     */
-  private def singlePartitionOps(df: DataFrame) = {
-    df.collect()
-    collect(df.queryExecution.executedPlan) {
-      case e: ShuffleExchangeLike if e.outputPartitioning == SinglePartition => e
-      case w: WindowExec if w.partitionSpec.isEmpty => w
-    }
+  private def singlePartitionOps(df: DataFrame) = executed(df) {
+    case e: ShuffleExchangeLike if e.outputPartitioning == SinglePartition => e
+    case w: WindowExec if w.partitionSpec.isEmpty => w
   }
+
+  /** The partitioning of every shuffle in the executed plan. */
+  private def shuffles(df: DataFrame) = executed(df) { case e: ShuffleExchangeLike => e.outputPartitioning }
 
   test("no sampler plans a global window or an exchange to a single partition") {
     val summary = SparkSamplers.clusterSummary(triples)
@@ -245,6 +261,19 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       val single = singlePartitionOps(df)
       assert(single.isEmpty, s"$name: ${single.mkString("; ")}")
     }
+    // SRS is a top-n over the triples, and A-Res keys a cached summary row by row: no shuffle
+    val byName = plans.toMap
+    val cached = summary.cache()
+    Seq("srs" -> byName("srs"), "aResKeys" -> SparkSamplers.aResKeys(cached, seed = 16)).foreach {
+      case (name, df) => assert(shuffles(df).isEmpty, s"$name shuffles: ${shuffles(df).mkString("; ")}")
+    }
+    cached.unpersist()
+    // TWCS shuffles once, to rank each draw's triples
+    val twcs = shuffles(byName("twcs"))
+    assert(twcs.size <= 1 && twcs.forall {
+      case h: HashPartitioning => h.expressions.collect { case a: Attribute => a.name } == Seq("draw_id")
+      case _                   => false
+    }, s"twcs shuffles: ${twcs.mkString("; ")}")
   }
 
   test("every sample is the same on 1, 3 or 8 partitions of the KG") {
