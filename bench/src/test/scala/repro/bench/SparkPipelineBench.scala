@@ -27,6 +27,11 @@ class SparkPipelineBench extends SparkSpec {
       f"est=${est.value * 100}%.1f%% moe=${est.moe * 100}%.1f%% (${ms}%.0f ms) ==")
     assert(math.abs(est.value - kg.accuracy) < 0.06)
     assert(est.moe < 0.08)
+    // the sample's clusters are the driver's 60 WCS draws from new Random(24)
+    val drawn = sample.select("draw_id", "subject").collect()
+      .map(r => r.getLong(0) -> r.getLong(1)).toMap.toSeq.sortBy(_._1).map(_._2)
+    val rng = new Random(24)
+    assert(drawn == Seq.fill(60)(LocalSamplers.wcsDraw(kg, rng).cluster.id))
   }
 
   test("distributed SRS pipeline estimates the KG accuracy") {

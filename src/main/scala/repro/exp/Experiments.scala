@@ -81,22 +81,19 @@ object Experiments {
     val movie = ExpData.movie(spark)
     val capped = DefaultCfg.copy(maxCostSeconds = MovieCap)
 
-    def mc(trials: Int, s: Long)(run: Random => EvalResult): McStats =
-      StaticEval.monteCarlo(trials, s)(run)
-
     val results = Map[(String, String), McStats](
-      ("MOVIE", "SRS")  -> mc(trialsMovie, seed + 1)(StaticEval.srs(movie, DefaultCfg, _)),
-      ("MOVIE", "RCS")  -> mc(trialsMovie, seed + 2)(StaticEval.rcs(movie, capped, _)),
-      ("MOVIE", "WCS")  -> mc(trialsMovie, seed + 3)(StaticEval.wcs(movie, capped, _)),
-      ("MOVIE", "TWCS") -> mc(trialsMovie, seed + 4)(StaticEval.twcs(movie, optimalM(movie), DefaultCfg, _)),
-      ("NELL", "SRS")   -> mc(trialsSmall, seed + 5)(StaticEval.srs(nell, DefaultCfg, _)),
-      ("NELL", "RCS")   -> mc(trialsSmall, seed + 6)(StaticEval.rcs(nell, DefaultCfg, _)),
-      ("NELL", "WCS")   -> mc(trialsSmall, seed + 7)(StaticEval.wcs(nell, DefaultCfg, _)),
-      ("NELL", "TWCS")  -> mc(trialsSmall, seed + 8)(StaticEval.twcs(nell, optimalM(nell), DefaultCfg, _)),
-      ("YAGO", "SRS")   -> mc(trialsSmall, seed + 9)(StaticEval.srs(yago, DefaultCfg, _)),
-      ("YAGO", "RCS")   -> mc(trialsSmall, seed + 10)(StaticEval.rcs(yago, DefaultCfg, _)),
-      ("YAGO", "WCS")   -> mc(trialsSmall, seed + 11)(StaticEval.wcs(yago, DefaultCfg, _)),
-      ("YAGO", "TWCS")  -> mc(trialsSmall, seed + 12)(StaticEval.twcs(yago, optimalM(yago), DefaultCfg, _)))
+      ("MOVIE", "SRS")  -> StaticEval.monteCarlo(trialsMovie, seed + 1)(StaticEval.srs(movie, DefaultCfg, _)),
+      ("MOVIE", "RCS")  -> StaticEval.monteCarlo(trialsMovie, seed + 2)(StaticEval.rcs(movie, capped, _)),
+      ("MOVIE", "WCS")  -> StaticEval.monteCarlo(trialsMovie, seed + 3)(StaticEval.wcs(movie, capped, _)),
+      ("MOVIE", "TWCS") -> StaticEval.monteCarlo(trialsMovie, seed + 4)(StaticEval.twcs(movie, optimalM(movie), DefaultCfg, _)),
+      ("NELL", "SRS")   -> StaticEval.monteCarlo(trialsSmall, seed + 5)(StaticEval.srs(nell, DefaultCfg, _)),
+      ("NELL", "RCS")   -> StaticEval.monteCarlo(trialsSmall, seed + 6)(StaticEval.rcs(nell, DefaultCfg, _)),
+      ("NELL", "WCS")   -> StaticEval.monteCarlo(trialsSmall, seed + 7)(StaticEval.wcs(nell, DefaultCfg, _)),
+      ("NELL", "TWCS")  -> StaticEval.monteCarlo(trialsSmall, seed + 8)(StaticEval.twcs(nell, optimalM(nell), DefaultCfg, _)),
+      ("YAGO", "SRS")   -> StaticEval.monteCarlo(trialsSmall, seed + 9)(StaticEval.srs(yago, DefaultCfg, _)),
+      ("YAGO", "RCS")   -> StaticEval.monteCarlo(trialsSmall, seed + 10)(StaticEval.rcs(yago, DefaultCfg, _)),
+      ("YAGO", "WCS")   -> StaticEval.monteCarlo(trialsSmall, seed + 11)(StaticEval.wcs(yago, DefaultCfg, _)),
+      ("YAGO", "TWCS")  -> StaticEval.monteCarlo(trialsSmall, seed + 12)(StaticEval.twcs(yago, optimalM(yago), DefaultCfg, _)))
 
     val lines = renderPerKg(results, Seq("MOVIE", "NELL", "YAGO"),
       Seq("SRS", "RCS", "WCS", "TWCS"))
@@ -276,7 +273,7 @@ object Experiments {
   }
 
   /** Sequence-of-updates result: per-batch estimates and truth. */
-  final case class SequenceRun(method: String, estimates: Seq[Double], truths: Seq[Double])
+  final case class SequenceRun(estimates: Seq[Double], truths: Seq[Double])
 
   /** Apply `batches` 10%-of-base updates (accuracy `acc`) and record every
     * snapshot estimate, optionally starting from an injected bad estimate
@@ -303,7 +300,7 @@ object Experiments {
       correct += batch.map(_.tau.toLong).sum
       (update(batch).estimate, correct.toDouble / triples)
     }.unzip
-    SequenceRun(method, estimates, truths)
+    SequenceRun(estimates, truths)
   }
 
   /** Unbiasedness (Fig 9-1): estimates averaged over runs, plus the

@@ -3,23 +3,24 @@ package repro.spark
 import scala.util.Random
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-import repro.core.{KGSummary, LocalSamplers}
+import repro.core.{Cluster, KGSummary, LocalSamplers}
 
 /** DataFrame implementations of the paper's sampling designs.
   *
   * Input "triples" DataFrames carry `subject` (long), `line` (int) and
-  * `label` (0/1 int), with (subject, line) unique, as `KGData` generates
-  * them; extra columns (predicate, object) pass through.
+  * `label` (0/1 int), where each subject's `line` runs 0 until its cluster
+  * size, as `KGData` generates them; extra columns (predicate, object) pass
+  * through.
   *
-  * The WCS/RCS first stage is drawn on the driver by `LocalSamplers`, the
-  * code the Monte-Carlo path runs, over `KGSummary.fromTriples`; Spark only
-  * fetches the drawn clusters' triples. Every other random choice is keyed by
-  * a seeded `xxhash64` of the triple's (subject, line), or of the subject for
-  * a cluster, so each sample is a function of (seed, rows) alone, whatever
-  * the partitioning or core count.
+  * The WCS/RCS/TWCS first stage is drawn on the driver by `LocalSamplers`,
+  * the code the Monte-Carlo path runs, over `KGSummary.fromTriples`, and the
+  * TWCS second-stage lines by a seeded driver `Random`; Spark only fetches
+  * the drawn triples. SRS triples and A-Res keys are a seeded `xxhash64` of
+  * the triple's (subject, line), or of the subject for a cluster, so each
+  * sample is a function of (seed, rows) alone, whatever the partitioning or
+  * core count.
   */
 object SparkSamplers {
 
@@ -27,36 +28,39 @@ object SparkSamplers {
   def clusterSummary(triples: DataFrame): DataFrame =
     KGSummary.clusterSummaryDF(triples)
 
-  /** A seeded hash of the columns `ids` and of (subject, line), which names one triple. */
-  private def tripleKey(triples: DataFrame, seed: Long, ids: String*) = {
+  private def requireLine(triples: DataFrame): Unit =
     require(triples.columns.contains("line"), "triples need a `line` column: (subject, line) names one triple")
-    xxhash64(lit(seed) +: (ids :+ "subject" :+ "line").map(col): _*)
-  }
 
-  /** SRS of exactly n <= Int.MaxValue triples without replacement: the n smallest triple keys. */
+  /** SRS of exactly n <= Int.MaxValue triples without replacement: the n
+    * smallest seeded hashes of (subject, line).
+    */
   def srsTriples(triples: DataFrame, n: Long, seed: Long): DataFrame = {
     require(n <= Int.MaxValue, s"srsTriples draws at most Int.MaxValue triples, not $n")
-    triples.orderBy(tripleKey(triples, seed)).limit(n.toInt)
+    requireLine(triples)
+    triples.orderBy(xxhash64(lit(seed), col("subject"), col("line"))).limit(n.toInt)
   }
 
-  /** n first-stage draws from `new Random(seed)` over the cluster summary,
-    * as a local (draw_id, subject) DataFrame.
-    */
+  /** n first-stage draws from `new Random(seed)` over the cluster summary. */
   private def clusterDraws(triples: DataFrame, n: Int, seed: Long)
-                          (draw: (KGSummary, Random) => LocalSamplers.ClusterDraw): DataFrame = {
+                          (draw: (KGSummary, Random) => LocalSamplers.ClusterDraw): Seq[Cluster] = {
     val kg  = KGSummary.fromTriples(triples)
     val rng = new Random(seed)
+    Seq.fill(n)(draw(kg, rng).cluster)
+  }
+
+  /** The drawn clusters as a local (draw_id, subject) DataFrame, in draw order. */
+  private def asDraws(triples: DataFrame, clusters: Seq[Cluster]): DataFrame = {
     import triples.sparkSession.implicits._
-    Seq.tabulate(n)(i => (i.toLong, draw(kg, rng).cluster.id)).toDF("draw_id", "subject")
+    clusters.zipWithIndex.map { case (c, i) => (i.toLong, c.id) }.toDF("draw_id", "subject")
   }
 
   /** n with-replacement cluster draws with P(cluster i) = M_i/M, as (draw_id, subject). */
   def wcsClusterDraws(triples: DataFrame, n: Int, seed: Long): DataFrame =
-    clusterDraws(triples, n, seed)(LocalSamplers.wcsDraw)
+    asDraws(triples, clusterDraws(triples, n, seed)(LocalSamplers.wcsDraw))
 
   /** n uniform (unweighted) cluster draws with replacement, as (draw_id, subject). */
   def rcsClusterDraws(triples: DataFrame, n: Int, seed: Long): DataFrame =
-    clusterDraws(triples, n, seed)(LocalSamplers.rcsDraw)
+    asDraws(triples, clusterDraws(triples, n, seed)(LocalSamplers.rcsDraw))
 
   /** All triples of the drawn clusters, tagged by draw: the annotation set of
     * RCS/WCS. Duplicate first-stage draws of a cluster yield duplicate rows
@@ -66,20 +70,24 @@ object SparkSamplers {
   def expandDraws(draws: DataFrame, triples: DataFrame): DataFrame =
     broadcast(draws).join(triples, Seq("subject"))
 
-  /** TWCS sample: WCS first stage, then per draw an SRS of at most m of the cluster's triples. */
-  def twcsSample(triples: DataFrame, n: Int, m: Int, seed: Long): DataFrame =
-    secondStage(wcsClusterDraws(triples, n, seed), triples, m, seed + 1)
-
-  /** Second-stage SRS of <= m triples per (draw_id, cluster): the m smallest
-    * triple keys of each draw. The key covers `draw_id`, so repeated draws of
-    * a cluster re-sample independently.
+  /** TWCS sample: n WCS draws from `new Random(seed)`, then per draw
+    * min(M_i, m) distinct lines, uniform over 0 until M_i, from
+    * `new Random(seed + 1)`; as the drawn triples tagged by `draw_id`.
+    * Each subject's `line` must run 0 until its cluster size.
     */
-  def secondStage(draws: DataFrame, triples: DataFrame, m: Int, seed: Long): DataFrame = {
-    val w = Window.partitionBy(col("draw_id")).orderBy(tripleKey(triples, seed, "draw_id"))
-    expandDraws(draws, triples)
-      .withColumn("__ss_rank", row_number().over(w))
-      .where(col("__ss_rank") <= m)
-      .drop("__ss_rank")
+  def twcsSample(triples: DataFrame, n: Int, m: Int, seed: Long): DataFrame = {
+    requireLine(triples)
+    val clusters = clusterDraws(triples, n, seed)(LocalSamplers.wcsDraw)
+    val rng      = new Random(seed + 1)
+    val draws = clusters.zipWithIndex.map { case (c, i) =>
+      (i.toLong, c.id, rng.shuffle((0 until c.size).toVector).take(m))
+    }
+    import triples.sparkSession.implicits._
+    // join on the subject, then keep the drawn lines: a broadcast keyed by one
+    // long is a small LongHashedRelation, one keyed by (subject, line) a
+    // BytesToBytesMap holding a whole memory page per call
+    expandDraws(draws.toDF("draw_id", "subject", "lines"), triples)
+      .where(array_contains(col("lines"), col("line"))).drop("lines")
   }
 
   /** Efraimidis–Spirakis A-Res keys: key_i = u^(1/M_i) with u ~ U(0,1], u the

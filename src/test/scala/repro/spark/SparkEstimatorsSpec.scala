@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.DataFrame
 
-import repro.{Oracle, SparkSpec}
+import repro.SparkSpec
 import repro.core.{Estimators, Stats}
 
 class SparkEstimatorsSpec extends SparkSpec {
@@ -16,14 +16,6 @@ class SparkEstimatorsSpec extends SparkSpec {
     (1L, 2L, 1), (1L, 2L, 0),
     (2L, 3L, 1), (2L, 3L, 0), (2L, 3L, 1)
   ).toDF("draw_id", "subject", "label").cache()
-
-  test("drawMeans computes per-draw sample means (oracle)") {
-    Oracle.assertEquivalent(
-      SparkEstimators.drawMeans(sample),
-      "SELECT CAST(draw_id AS BIGINT) AS draw_id, AVG(CAST(label AS DOUBLE)) AS cmean, " +
-        "COUNT(*) AS annotated FROM s GROUP BY draw_id",
-      "s" -> sample)
-  }
 
   test("clusterEstimate equals the driver-side mean-of-draws estimator") {
     val spark = SparkEstimators.clusterEstimate(sample, z95)

@@ -3,8 +3,7 @@ package repro.spark
 import scala.util.Random
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.expressions.Attribute
-import org.apache.spark.sql.catalyst.plans.physical.{HashPartitioning, SinglePartition}
+import org.apache.spark.sql.catalyst.plans.physical.SinglePartition
 import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
@@ -12,7 +11,7 @@ import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
-import repro.core.{KGSummary, LocalSamplers}
+import repro.core.{Estimate, KGSummary, LocalSamplers, Stats}
 import repro.kg.KGData
 
 class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
@@ -94,14 +93,13 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(both < 6, s"$both subjects with both copies, about 1 expected")
   }
 
-  test("secondStage draws each copy of a repeated row, told apart by line") {
+  test("twcsSample draws each copy of a repeated row, told apart by line") {
     // per cluster [A, A, B] with A correct: m = 1 is correct w.p. 2/3, m = 2 is A,A w.p. 1/3
     val dup = (1L to 50L).flatMap(s => Seq((s, 0, "p", "o", 1), (s, 1, "p", "o", 1), (s, 2, "q", "o", 0)))
       .toDF("subject", "line", "predicate", "object", "label")
-    val draws = (0L until 2000L).map(i => (i, i % 50 + 1)).toDF("draw_id", "subject")
-    val one = SparkSamplers.secondStage(draws, dup, m = 1, seed = 42).agg(avg("label")).head().getDouble(0)
+    val one = SparkSamplers.twcsSample(dup, n = 2000, m = 1, seed = 42).agg(avg("label")).head().getDouble(0)
     assert(math.abs(one - 2.0 / 3) < 0.05, s"m = 1: $one correct")
-    val aa = SparkSamplers.secondStage(draws, dup, m = 2, seed = 43)
+    val aa = SparkSamplers.twcsSample(dup, n = 2000, m = 2, seed = 43)
       .groupBy("draw_id").agg(sum("label").as("hits")).where(col("hits") === 2).count() / 2000.0
     assert(math.abs(aa - 1.0 / 3) < 0.05, s"m = 2: $aa of draws took both copies")
   }
@@ -109,8 +107,7 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   test("a triples frame without a line column is rejected") {
     val noLine = triples.drop("line")
     val srs = intercept[IllegalArgumentException](SparkSamplers.srsTriples(noLine, 2, seed = 18))
-    val draws = Seq((0L, 4L)).toDF("draw_id", "subject")
-    val second = intercept[IllegalArgumentException](SparkSamplers.secondStage(draws, noLine, m = 2, seed = 19))
+    val second = intercept[IllegalArgumentException](SparkSamplers.twcsSample(noLine, n = 1, m = 2, seed = 19))
     assert(Seq(srs, second).forall(_.getMessage.contains("`line`")))
   }
 
@@ -157,16 +154,31 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(per.forall(r => r.getAs[Long]("cnt") <= 2 && r.getAs[Long]("subs") == 1))
   }
 
-  test("secondStage samples within a cluster without replacement") {
-    val draws = Seq((0L, 4L)).toDF("draw_id", "subject")
-    val s = SparkSamplers.secondStage(draws, triples, m = 4, seed = 8).collect()
+  test("twcsSample samples within a cluster without replacement") {
+    val s = SparkSamplers.twcsSample(triples.where(col("subject") === 4L), n = 1, m = 4, seed = 8).collect()
     assert(s.length == 4)
     assert(s.map(_.toSeq).distinct.length == 4)
   }
 
-  test("secondStage with m above the cluster size returns the full cluster") {
-    val draws = Seq((0L, 2L)).toDF("draw_id", "subject")
-    assert(SparkSamplers.secondStage(draws, triples, m = 99, seed = 9).count() == 2)
+  test("twcsSample with m above the cluster size returns the full cluster") {
+    assert(SparkSamplers.twcsSample(triples.where(col("subject") === 2L), n = 1, m = 99, seed = 9).count() == 2)
+  }
+
+  test("twcsSample draws each cluster's second-stage lines uniformly") {
+    // a draw of a cluster of size M takes each of its lines w.p. min(M, m)/M
+    val s = SparkSamplers.twcsSample(triples, n = 3000, m = 2, seed = 20).cache()
+    val draws = s.groupBy("subject").agg(countDistinct("draw_id").as("draws")).collect()
+      .map(r => r.getAs[Long]("subject") -> r.getAs[Long]("draws")).toMap
+    val sizes = Map(1L -> 1, 2L -> 2, 3L -> 3, 4L -> 6)
+    val perLine = s.groupBy("subject", "line").count().collect()
+    assert(perLine.length == 12, "every line is drawn")
+    perLine.foreach { r =>
+      val (subject, line) = (r.getAs[Long]("subject"), r.getAs[Int]("line"))
+      val freq = r.getAs[Long]("count").toDouble / draws(subject)
+      val want = math.min(sizes(subject), 2).toDouble / sizes(subject)
+      assert(math.abs(freq - want) < 0.06, s"subject $subject line $line: $freq, expected $want")
+    }
+    s.unpersist()
   }
 
   // ---- reservoir ----
@@ -261,43 +273,46 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       val single = singlePartitionOps(df)
       assert(single.isEmpty, s"$name: ${single.mkString("; ")}")
     }
-    // SRS is a top-n over the triples, and A-Res keys a cached summary row by row: no shuffle
-    val byName = plans.toMap
+    // after the cluster summary, Spark only fetches rows: TWCS and RCS broadcast-join the
+    // driver's draws, SRS is a top-n over the triples, and A-Res keys a cached summary row by row
     val cached = summary.cache()
-    Seq("srs" -> byName("srs"), "aResKeys" -> SparkSamplers.aResKeys(cached, seed = 16)).foreach {
+    (plans.filter(_._1 != "reservoir") :+ ("aResKeys" -> SparkSamplers.aResKeys(cached, seed = 16))).foreach {
       case (name, df) => assert(shuffles(df).isEmpty, s"$name shuffles: ${shuffles(df).mkString("; ")}")
     }
     cached.unpersist()
-    // TWCS shuffles once, to rank each draw's triples
-    val twcs = shuffles(byName("twcs"))
-    assert(twcs.size <= 1 && twcs.forall {
-      case h: HashPartitioning => h.expressions.collect { case a: Attribute => a.name } == Seq("draw_id")
-      case _                   => false
-    }, s"twcs shuffles: ${twcs.mkString("; ")}")
   }
 
   test("every sample is the same on 1, 3 or 8 partitions of the KG") {
     val kg = KGData.movieLike(spark, scale = 0.02, seed = 31)
+    val z = Stats.zAlpha(0.05)
     def rows(df: DataFrame) = df.collect().map(_.toSeq.mkString(",")).sorted.toSeq
-    def samples(parts: Int): Seq[Seq[String]] = {
+    /** Each sample's sorted rows, and the TWCS, SRS and RCS estimates. */
+    def samples(parts: Int): (Seq[Seq[String]], Seq[Estimate]) = {
       val t = kg.repartition(parts).cache()
       val summary = SparkSamplers.clusterSummary(t)
-      val out = Seq(
-        SparkSamplers.twcsSample(t, n = 30, m = 3, seed = 32),
-        SparkSamplers.srsTriples(t, 50, seed = 33),
-        SparkSamplers.expandDraws(SparkSamplers.rcsClusterDraws(t, 30, seed = 34), t),
+      val local = KGSummary.fromTriples(t)
+      val twcs = SparkSamplers.twcsSample(t, n = 30, m = 3, seed = 32)
+      val srs = SparkSamplers.srsTriples(t, 50, seed = 33)
+      val rcs = SparkSamplers.expandDraws(SparkSamplers.rcsClusterDraws(t, 30, seed = 34), t)
+      val out = Seq(twcs, srs, rcs,
         SparkSamplers.reservoirMerge(
           SparkSamplers.aResKeys(summary.where(col("subject") % 2 === 0), seed = 35),
           SparkSamplers.aResKeys(summary.where(col("subject") % 2 === 1), seed = 36), 20)
       ).map(rows)
+      val est = Seq(SparkEstimators.clusterEstimate(twcs, z), SparkEstimators.srsEstimate(srs, z),
+        SparkEstimators.rcsEstimate(rcs, local.numClusters.toLong, local.numTriples, z))
       t.unpersist()
-      out
+      (out, est)
     }
-    val one = samples(1)
+    val (one, oneEst) = samples(1)
     assert(one.forall(_.nonEmpty))
     Seq(3, 8).foreach { parts =>
-      samples(parts).zip(Seq("twcs", "srs", "rcs", "reservoir")).zip(one).foreach {
+      val (rows, est) = samples(parts)
+      rows.zip(Seq("twcs", "srs", "rcs", "reservoir")).zip(one).foreach {
         case ((s, name), base) => assert(s == base, s"$name on $parts partitions")
+      }
+      est.zip(Seq("twcs", "srs", "rcs")).zip(oneEst).foreach {
+        case ((e, name), base) => assert(e == base, s"$name estimate on $parts partitions")
       }
     }
   }
