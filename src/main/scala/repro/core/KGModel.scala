@@ -1,7 +1,10 @@
 package repro.core
 
+import java.util.{Collections, WeakHashMap}
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 
 /** One entity cluster: all triples sharing a subject id.
   *
@@ -47,11 +50,24 @@ object KGSummary {
     triples.groupBy(col("subject"))
       .agg(count(lit(1)).as("size"), sum(col("label")).as("tau"))
 
+  /** Summaries of persisted frames, by frame object; an entry goes with its frame. */
+  private val persisted = Collections.synchronizedMap(new WeakHashMap[DataFrame, KGSummary])
+
   /** Collect the Spark cluster summary into the driver-side [[KGSummary]],
     * in subject order, so that it does not depend on the shuffle's order.
     * Fine for all KGs in this reproduction (≤ ~300K clusters).
+    *
+    * A persisted frame's rows are a fixed snapshot, so its summary is
+    * collected once and kept while the frame lives and stays persisted; an
+    * uncached or unpersisted frame is aggregated on every call. A frame
+    * unpersisted and persisted again between two calls keeps its summary,
+    * which assumes a deterministic plan, as `KGData`'s are.
     */
-  def fromTriples(triples: DataFrame): KGSummary = {
+  def fromTriples(triples: DataFrame): KGSummary =
+    if (triples.storageLevel == StorageLevel.NONE) { persisted.remove(triples); collect(triples) }
+    else Option(persisted.get(triples)).getOrElse { val kg = collect(triples); persisted.put(triples, kg); kg }
+
+  private def collect(triples: DataFrame): KGSummary = {
     val rows = clusterSummaryDF(triples).collect()
     KGSummary(rows.map(r => Cluster(
       r.getAs[Long]("subject"),

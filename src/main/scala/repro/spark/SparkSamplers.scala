@@ -2,7 +2,7 @@ package repro.spark
 
 import scala.util.Random
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 import repro.core.{Cluster, KGSummary, LocalSamplers}
@@ -21,12 +21,23 @@ import repro.core.{Cluster, KGSummary, LocalSamplers}
   * the triple's (subject, line), or of the subject for a cluster, so each
   * sample is a function of (seed, rows) alone, whatever the partitioning or
   * core count.
+  *
+  * A persisted frame's cluster summary is collected once, not per call, and
+  * seeds enter generated code as references: codegen inlines primitive
+  * literals into the Java source, so each new seed would compile new classes.
   */
 object SparkSamplers {
 
   /** (subject, size, tau) per entity cluster — groupBy aggregation. */
   def clusterSummary(triples: DataFrame): DataFrame =
     KGSummary.clusterSummaryDF(triples)
+
+  /** xxhash64(seed, cols…). The seed is hashed as a one-element long array,
+    * which XxHash64 hashes exactly as the long itself, but which generated
+    * code holds in its `references[]`: one compiled class serves every seed.
+    */
+  private[spark] def seededHash(seed: Long, cols: String*): Column =
+    xxhash64(typedLit(Array(seed)) +: cols.map(col): _*)
 
   private def requireLine(triples: DataFrame): Unit =
     require(triples.columns.contains("line"), "triples need a `line` column: (subject, line) names one triple")
@@ -37,7 +48,7 @@ object SparkSamplers {
   def srsTriples(triples: DataFrame, n: Long, seed: Long): DataFrame = {
     require(n <= Int.MaxValue, s"srsTriples draws at most Int.MaxValue triples, not $n")
     requireLine(triples)
-    triples.orderBy(xxhash64(lit(seed), col("subject"), col("line"))).limit(n.toInt)
+    triples.orderBy(seededHash(seed, "subject", "line")).limit(n.toInt)
   }
 
   /** n first-stage draws from `new Random(seed)` over the cluster summary. */
@@ -97,7 +108,7 @@ object SparkSamplers {
     * replacement — the reservoir invariant maintained on evolving KGs.
     */
   def aResKeys(summary: DataFrame, seed: Long): DataFrame = {
-    val u = (shiftrightunsigned(xxhash64(lit(seed), col("subject")), 11) + 1).cast("double") / math.pow(2, 53)
+    val u = (shiftrightunsigned(seededHash(seed, "subject"), 11) + 1).cast("double") / math.pow(2, 53)
     summary.withColumn("key", pow(u, lit(1.0) / col("size")))
   }
 

@@ -1,8 +1,13 @@
 package repro.spark
 
+import java.util.concurrent.atomic.AtomicInteger
+
 import scala.util.Random
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.metrics.source.CodegenMetrics
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.plans.physical.SinglePartition
 import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
@@ -314,6 +319,83 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       est.zip(Seq("twcs", "srs", "rcs")).zip(oneEst).foreach {
         case ((e, name), base) => assert(e == base, s"$name estimate on $parts partitions")
       }
+    }
+  }
+  // ---- per-call costs paid once: the summary of a persisted frame, compiled code ----
+
+  /** `body`'s value and the number of Spark jobs it started. */
+  private def withJobs[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val started = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = started.incrementAndGet()
+    }
+    ListenerBusDrain(sc)
+    sc.addSparkListener(listener)
+    try { val a = body; ListenerBusDrain(sc); (a, started.get) } finally sc.removeSparkListener(listener)
+  }
+
+  private def jobs(body: => Any): Int = withJobs(body)._2
+
+  test("a persisted frame's cluster summary is collected once, an uncached frame's on every call") {
+    val kg = KGData.movieLike(spark, scale = 0.02, seed = 31)
+    val fresh = KGSummary.fromTriples(kg)
+    def local(draw: (KGSummary, Random) => LocalSamplers.ClusterDraw, seed: Long) = {
+      val rng = new Random(seed)
+      Seq.fill(30)(draw(fresh, rng).cluster.id)
+    }
+    /** The subject of each draw, in draw order, from (draw_id, subject) rows. */
+    def drawn(rows: Array[Row]) =
+      rows.map(r => r.getLong(0) -> r.getLong(1)).distinct.sortBy(_._1).map(_._2).toSeq
+    /** Jobs of one TWCS and one RCS call, each checked against the driver's draws. */
+    def calls(t: DataFrame, seed: Long): (Int, Int) = {
+      val (twcs, twcsJobs) = withJobs(
+        SparkSamplers.twcsSample(t, n = 30, m = 3, seed).select("draw_id", "subject").collect())
+      assert(drawn(twcs) == local(LocalSamplers.wcsDraw, seed), s"twcs seed $seed")
+      val (rcs, rcsJobs) = withJobs(SparkSamplers.expandDraws(SparkSamplers.rcsClusterDraws(t, 30, seed + 1), t)
+        .select("draw_id", "subject").collect())
+      assert(drawn(rcs) == local(LocalSamplers.rcsDraw, seed + 1), s"rcs seed ${seed + 1}")
+      (twcsJobs, rcsJobs)
+    }
+    // uncached: every call aggregates
+    val summaryJobs = jobs(KGSummary.fromTriples(kg))
+    assert(summaryJobs >= 1)
+    assert(jobs(KGSummary.fromTriples(kg)) == summaryJobs)
+    val (twcsJobs, rcsJobs) = calls(kg, seed = 40)
+    assert(calls(kg, seed = 42) == ((twcsJobs, rcsJobs)), "an uncached frame's second call")
+    // persisted: the first TWCS call collects the summary, every later call reuses it
+    val t = kg.cache()
+    t.count()
+    assert(calls(t, seed = 44) == ((twcsJobs, rcsJobs - summaryJobs)), "a persisted frame's first calls")
+    assert(calls(t, seed = 46) == ((twcsJobs - summaryJobs, rcsJobs - summaryJobs)),
+      "a persisted frame's second calls")
+    assert(jobs(KGSummary.fromTriples(t)) == 0)
+    assert(KGSummary.fromTriples(t).clusters.toSeq == fresh.clusters.toSeq)
+    // unpersisted: aggregated again
+    t.unpersist()
+    assert(jobs(KGSummary.fromTriples(t)) == summaryJobs)
+    assert(calls(t, seed = 48) == ((twcsJobs, rcsJobs)), "an unpersisted frame's call")
+  }
+
+  test("a new seed compiles no new code") {
+    val summary = SparkSamplers.clusterSummary(triples).cache()
+    def srs(seed: Long) = SparkSamplers.srsTriples(triples, 5, seed).collect()
+    def reservoir(seed: Long) = SparkSamplers.reservoirMerge(
+      SparkSamplers.aResKeys(summary, seed), SparkSamplers.aResKeys(summary, seed + 1), 3).collect()
+    srs(50); reservoir(50)
+    val compiled = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
+    (1 to 5).foreach { i => srs(50 + i); reservoir(60 + 2 * i) }
+    assert(CodegenMetrics.METRIC_COMPILATION_TIME.getCount - compiled == 0, "classes compiled for new seeds")
+    summary.unpersist()
+  }
+
+  test("the seeded SRS and A-Res hashes equal xxhash64 of the literal seed, row for row") {
+    val kg = KGData.movieLike(spark, scale = 0.02, seed = 31)
+    assert(kg.count() > 0)
+    Seq(0L, 1L, -7L, 123456789012345L, Long.MinValue, Long.MaxValue).foreach { seed =>
+      val srsKey = SparkSamplers.seededHash(seed, "subject", "line") === xxhash64(lit(seed), col("subject"), col("line"))
+      val aResKey = SparkSamplers.seededHash(seed, "subject") === xxhash64(lit(seed), col("subject"))
+      assert(kg.where(!(srsKey && aResKey)).count() == 0, s"seed $seed")
     }
   }
 }
