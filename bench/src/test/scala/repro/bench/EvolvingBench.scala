@@ -16,8 +16,8 @@ class EvolvingBench extends SparkSpec {
   private lazy val (unbiased, faults, seqLines) = Experiments.evolvingSequence(spark)
 
   test("single-batch report (Fig 8 as a table)") {
-    println("== Evolving KG: single update batch (mean hours per update) ==")
-    singleLines.foreach(println)
+    info("== Evolving KG: single update batch (mean hours per update) ==")
+    singleLines.foreach(info(_))
     assert(singleRows.size == 9)
   }
 
@@ -46,8 +46,8 @@ class EvolvingBench extends SparkSpec {
   }
 
   test("sequence report (Fig 9 as a table)") {
-    println("== Evolving KG: sequence of 30 updates ==")
-    seqLines.foreach(println)
+    info("== Evolving KG: sequence of 30 updates ==")
+    seqLines.foreach(info(_))
     assert(unbiased("RS").size == 30 && unbiased("SS").size == 30)
   }
 

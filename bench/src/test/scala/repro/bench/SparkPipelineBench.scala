@@ -23,7 +23,7 @@ class SparkPipelineBench extends SparkSpec {
     val sample = SparkSamplers.twcsSample(triples, n = 60, m = 5, seed = 24)
     val est = SparkEstimators.clusterEstimate(sample, z95)
     val ms = (System.nanoTime() - t0) / 1e6
-    println(f"== Spark pipeline: TWCS n=60 m=5 on ${kg.numTriples} triples: " +
+    info(f"== Spark pipeline: TWCS n=60 m=5 on ${kg.numTriples} triples: " +
       f"est=${est.value * 100}%.1f%% moe=${est.moe * 100}%.1f%% (${ms}%.0f ms) ==")
     assert(math.abs(est.value - kg.accuracy) < 0.06)
     assert(est.moe < 0.08)
@@ -37,7 +37,7 @@ class SparkPipelineBench extends SparkSpec {
   test("distributed SRS pipeline estimates the KG accuracy") {
     val sample = SparkSamplers.srsTriples(triples, n = 200, seed = 25)
     val est = SparkEstimators.srsEstimate(sample, z95)
-    println(f"== Spark pipeline: SRS n=200: est=${est.value * 100}%.1f%% moe=${est.moe * 100}%.1f%% ==")
+    info(f"== Spark pipeline: SRS n=200: est=${est.value * 100}%.1f%% moe=${est.moe * 100}%.1f%% ==")
     assert(math.abs(est.value - kg.accuracy) < 0.06)
   }
 
@@ -45,7 +45,7 @@ class SparkPipelineBench extends SparkSpec {
     val draws  = SparkSamplers.rcsClusterDraws(triples, n = 200, seed = 26)
     val sample = SparkSamplers.expandDraws(draws, triples)
     val est = SparkEstimators.rcsEstimate(sample, kg.numClusters.toLong, kg.numTriples, z95)
-    println(f"== Spark pipeline: RCS n=200: est=${est.value * 100}%.1f%% moe=${est.moe * 100}%.1f%% ==")
+    info(f"== Spark pipeline: RCS n=200: est=${est.value * 100}%.1f%% moe=${est.moe * 100}%.1f%% ==")
     // RCS is unbiased but high-variance; just require the right ballpark
     assert(math.abs(est.value - kg.accuracy) < 0.25)
     // Spark draws the driver's clusters, so it must give the driver's estimate
@@ -72,7 +72,7 @@ class SparkPipelineBench extends SparkSpec {
     assert(merged.count() == 50)
     // weighted reservoir over ~10x more base triples keeps mostly base clusters
     val newcomers = merged.where("subject >= 10000000").count()
-    println(s"== Spark pipeline: reservoir update admitted $newcomers/50 new clusters ==")
+    info(s"== Spark pipeline: reservoir update admitted $newcomers/50 new clusters ==")
     assert(newcomers < 25)
   }
 }

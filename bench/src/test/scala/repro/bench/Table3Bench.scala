@@ -14,8 +14,8 @@ class Table3Bench extends SparkSpec {
   private lazy val (stats, lines) = Experiments.table3(spark)
 
   test("Table 3 report") {
-    println("== Table 3: data characteristics ==")
-    lines.foreach(println)
+    info("== Table 3: data characteristics ==")
+    lines.foreach(info(_))
     assert(stats.size == 3)
   }
 

@@ -13,8 +13,8 @@ class Table4Bench extends SparkSpec {
   private lazy val (rows, lines) = Experiments.table4(spark)
 
   test("Table 4 report") {
-    println("== Table 4: manual evaluation cost on MOVIE ==")
-    lines.foreach(println)
+    info("== Table 4: manual evaluation cost on MOVIE ==")
+    lines.foreach(info(_))
     assert(rows.size == 2)
   }
 

@@ -15,11 +15,11 @@ class Table5Bench extends SparkSpec {
   private lazy val (results, lines) = Experiments.table5(spark)
 
   test("Table 5 report") {
-    println("== Table 5: static KG evaluation (hours, estimate, converged fraction) ==")
-    println(s"   optimal m: MOVIE=${Experiments.optimalM(ExpData.movie(spark))} " +
+    info("== Table 5: static KG evaluation (hours, estimate, converged fraction) ==")
+    info(s"   optimal m: MOVIE=${Experiments.optimalM(ExpData.movie(spark))} " +
       s"NELL=${Experiments.optimalM(ExpData.nell(spark))} " +
       s"YAGO=${Experiments.optimalM(ExpData.yago(spark))}")
-    lines.foreach(println)
+    lines.foreach(info(_))
     assert(results.size == 12)
   }
 

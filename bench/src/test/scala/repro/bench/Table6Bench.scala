@@ -21,8 +21,8 @@ class Table6Bench extends SparkSpec {
     rows.find(r => r.kg == kg && r.method == mth).get
 
   test("Table 6 report") {
-    println("== Table 6: TWCS vs KGEval ==")
-    lines.foreach(println)
+    info("== Table 6: TWCS vs KGEval ==")
+    lines.foreach(info(_))
     assert(rows.size == 4)
   }
 

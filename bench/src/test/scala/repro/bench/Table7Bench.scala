@@ -17,8 +17,8 @@ class Table7Bench extends SparkSpec {
   private lazy val (results, lines) = Experiments.table7(spark)
 
   test("Table 7 report") {
-    println("== Table 7: TWCS with stratification ==")
-    lines.foreach(println)
+    info("== Table 7: TWCS with stratification ==")
+    lines.foreach(info(_))
     assert(results.size == 11) // 4 + 4 + 3 (no oracle column for MOVIE)
   }
 

@@ -55,6 +55,19 @@ object Estimators {
     Estimate(mu, z * math.sqrt(v))
   }
 
+  /** Eq 13 over per-stratum mean-of-draws estimators, given each stratum's
+    * triple count |G_h| and draw values: W_h = |G_h| / Σ|G_h|, μ̂_h the mean of
+    * the draws and Var̂(μ̂_h) their [[varOfMean]]. A stratum with no draws yet
+    * counts the midpoint of its [0, 1] range with infinite variance.
+    */
+  def stratifiedDraws(strata: Seq[(Long, Seq[Double])], z: Double): Estimate = {
+    val total = strata.map(_._1).sum.toDouble
+    stratified(strata.map { case (triples, values) =>
+      if (values.isEmpty) Stratum(triples / total, 0.5, Double.PositiveInfinity)
+      else Stratum(triples / total, Stats.mean(values), varOfMean(values))
+    }, z)
+  }
+
   /** Var̂ of a mean-of-draws estimator, for feeding [[stratified]]. */
   def varOfMean(values: Seq[Double]): Double = {
     val n = values.size

@@ -74,12 +74,17 @@ object StaticEval {
 
   /** [[iterate]] for the mean-of-draws designs: each draw is charged to
     * `tracker` and its value appended to `values`, which may arrive seeded.
+    * The KG drawn from, of `kgTriples` triples, is exhausted once every
+    * triple is annotated: later draws would cost nothing and could not end a
+    * loop whose floors or ε it cannot meet.
     */
   private[repro] def iterateDraws(cfg: EvalConfig, tracker: CostTracker,
-                                 values: ArrayBuffer[Double], minDraws: Int, minTriples: Long)
+                                 values: ArrayBuffer[Double], minDraws: Int, minTriples: Long,
+                                 kgTriples: => Long)
                                 (draw: => LocalSamplers.ClusterDraw)
                                 (value: LocalSamplers.ClusterDraw => Double): Estimate =
-    iterate(cfg, tracker, cfg.clusterBatch, minDraws, minTriples, values.size, exhausted = false) {
+    iterate(cfg, tracker, cfg.clusterBatch, minDraws, minTriples, values.size,
+            exhausted = tracker.triples >= kgTriples) {
       val d = draw
       tracker.record(d.cluster.id, d.cluster.size, d.annotated)
       values += value(d)
@@ -106,27 +111,28 @@ object StaticEval {
     result(est, 0, tracker, cfg)
   }
 
-  private def clusterDesign(cfg: EvalConfig)(draw: => LocalSamplers.ClusterDraw)
+  private def clusterDesign(kg: KGSummary, cfg: EvalConfig)(draw: => LocalSamplers.ClusterDraw)
                            (value: LocalSamplers.ClusterDraw => Double): EvalResult = {
     val tracker = new CostTracker(cfg.cost)
     val values  = ArrayBuffer.empty[Double]
-    val est = iterateDraws(cfg, tracker, values, cfg.minClusterDraws, cfg.minTriples)(draw)(value)
+    val est = iterateDraws(cfg, tracker, values, cfg.minClusterDraws, cfg.minTriples,
+                           kg.numTriples)(draw)(value)
     result(est, values.size, tracker, cfg)
   }
 
   /** RCS (§5.2.1): uniform cluster draws, v_k = (N/M)·τ_{I_k}. */
   def rcs(kg: KGSummary, cfg: EvalConfig, rng: Random): EvalResult = {
     val scale = kg.numClusters.toDouble / kg.numTriples
-    clusterDesign(cfg)(LocalSamplers.rcsDraw(kg, rng))(scale * _.hits)
+    clusterDesign(kg, cfg)(LocalSamplers.rcsDraw(kg, rng))(scale * _.hits)
   }
 
   /** WCS (§5.2.2): size-weighted draws, v_k = μ_{I_k} (Hansen–Hurwitz). */
   def wcs(kg: KGSummary, cfg: EvalConfig, rng: Random): EvalResult =
-    clusterDesign(cfg)(LocalSamplers.wcsDraw(kg, rng))(_.cluster.accuracy)
+    clusterDesign(kg, cfg)(LocalSamplers.wcsDraw(kg, rng))(_.cluster.accuracy)
 
   /** TWCS (§5.2.3): size-weighted draws + second-stage SRS of <= m triples. */
   def twcs(kg: KGSummary, m: Int, cfg: EvalConfig, rng: Random): EvalResult =
-    clusterDesign(cfg)(LocalSamplers.twcsDraw(kg, m, rng))(_.sampleMean)
+    clusterDesign(kg, cfg)(LocalSamplers.twcsDraw(kg, m, rng))(_.sampleMean)
 
   /** TWCS with stratification (§5.3): per-stratum TWCS estimators combined by
     * Eq (13); each iteration allocates `clusterBatch` draws greedily to the
@@ -150,26 +156,25 @@ object StaticEval {
 
     // Initial allocation: enough draws per stratum for a usable variance
     // estimate — stopping off 2 agreeing draws would bias the estimator —
-    // and a total triple floor (CLT) before the MoE rule may fire.
+    // and a total triple floor (CLT) before the MoE rule may fire. The budget
+    // is checked before each of these draws, as [[iterate]] checks it before
+    // each batch.
     val minPerStratum = math.max(3, math.ceil(20.0 / strata.size).toInt)
     strata.indices.foreach { h =>
-      (0 until minPerStratum).foreach(_ => drawIn(h))
+      (0 until minPerStratum).foreach(_ => if (tracker.seconds < cfg.maxCostSeconds) drawIn(h))
     }
 
+    val kgTriples = strata.map(_.kg.numTriples)
+    val totalTriples = kgTriples.sum
     def totalDraws: Int = values.map(_.size).sum
     val est = iterate(cfg, tracker, cfg.clusterBatch, cfg.minClusterDraws, cfg.minTriples,
-                      totalDraws, exhausted = false) {
+                      totalDraws, exhausted = tracker.triples >= totalTriples) {
       drawIn(strata.indices.maxBy { h =>
         val nH = values(h).size.toDouble
         val s2 = math.max(Stats.sampleVariance(values(h).toSeq), varFloor)
         ws(h) * ws(h) * s2 * (1.0 / nH - 1.0 / (nH + 1.0))
       })
-    } {
-      Estimators.stratified(strata.indices.map { h =>
-        Estimators.Stratum(ws(h), Stats.mean(values(h).toSeq),
-          Estimators.varOfMean(values(h).toSeq))
-      }, cfg.z)
-    }
+    }(Estimators.stratifiedDraws(kgTriples.zip(values.map(_.toSeq)), cfg.z))
     result(est, totalDraws, tracker, cfg)
   }
 

@@ -99,7 +99,7 @@ object IncrementalEval {
       // if the reservoir alone misses the MoE bar.
       lazy val current = KGSummary(all.toArray)
       val values = reservoir.entries.map(_.payload).to(ArrayBuffer)
-      val est = StaticEval.iterateDraws(cfg, tracker, values, 0, 0L)(
+      val est = StaticEval.iterateDraws(cfg, tracker, values, 0, 0L, current.numTriples)(
         LocalSamplers.twcsDraw(current, m, rng))(_.sampleMean)
       snapshot(est, tracker, cfg)
     }
@@ -108,9 +108,6 @@ object IncrementalEval {
   // ==================================================================
   // SS: Stratified Incremental Evaluation (§6.2, Algorithm 2)
   // ==================================================================
-
-  /** One stratum's reusable evaluation state. */
-  private final case class StratumState(triples: Long, values: ArrayBuffer[Double])
 
   /** Each update batch Δ^i becomes a new stratum; earlier strata estimates
     * (G, Δ^1, …, Δ^{i-1}) are reused verbatim and only the newest stratum is
@@ -121,23 +118,15 @@ object IncrementalEval {
     */
   final class StratifiedEvaluator(m: Int, cfg: EvalConfig, rng: Random,
                                   initBias: Double = 0.0) {
-    private val strata = ArrayBuffer.empty[StratumState]
+    /** Per stratum: its triple count and its draw values. */
+    private val strata = ArrayBuffer.empty[(Long, ArrayBuffer[Double])]
 
     /** Run the initial static TWCS evaluation on the base KG, keeping its draws. */
     def initialize(base: KGSummary): Unit = {
       val values = ArrayBuffer.empty[Double]
       StaticEval.iterateDraws(cfg, new CostTracker(cfg.cost), values, cfg.minClusterDraws,
-        cfg.minTriples)(LocalSamplers.twcsDraw(base, m, rng))(_.sampleMean)
-      strata += StratumState(base.numTriples, values.map(v => clamp01(v + initBias)))
-    }
-
-    private def combined(): Estimate = {
-      val total = strata.map(_.triples).sum.toDouble
-      val parts = strata.map { s =>
-        Estimators.Stratum(s.triples / total, Stats.mean(s.values.toSeq),
-          Estimators.varOfMean(s.values.toSeq))
-      }
-      Estimators.stratified(parts.toSeq, cfg.z)
+        cfg.minTriples, base.numTriples)(LocalSamplers.twcsDraw(base, m, rng))(_.sampleMean)
+      strata += base.numTriples -> values.map(v => clamp01(v + initBias))
     }
 
     /** A handful of draws so the new stratum has a usable sample variance (2
@@ -150,13 +139,13 @@ object IncrementalEval {
       val delta   = KGSummary(batch)
       val values  = ArrayBuffer.empty[Double]
       val tracker = new CostTracker(cfg.cost)
-      strata += StratumState(delta.numTriples, values)
-      val est = StaticEval.iterate(cfg, tracker, cfg.clusterBatch, 5, 0L, values.size,
-                                   exhausted = false) {
+      strata += delta.numTriples -> values
+      val est = StaticEval.iterate(cfg, tracker, cfg.clusterBatch, cfg.minClusterDraws, 0L,
+                                   values.size, exhausted = tracker.triples >= delta.numTriples) {
         val d = LocalSamplers.twcsDraw(delta, m, rng)
         tracker.record(d.cluster.id, d.cluster.size, d.annotated)
         values += d.sampleMean
-      }(combined())
+      }(Estimators.stratifiedDraws(strata.map { case (n, vs) => n -> vs.toSeq }.toSeq, cfg.z))
       snapshot(est, tracker, cfg)
     }
   }

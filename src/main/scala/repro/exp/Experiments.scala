@@ -14,8 +14,11 @@ import scala.util.Random
 
 /** One harness per evaluation-section table (DESIGN.md §4). Each returns the
   * structured results (for bench assertions) plus pre-formatted report lines
-  * (printed by benches and by the spark-submit jobs, and transcribed into
-  * EXPERIMENTS.md).
+  * (printed by the table's bench suite and transcribed into EXPERIMENTS.md).
+  * Trial counts and seeds are constants: the reproduced digits are a function
+  * of them. The `spark` parameters are unused; they are passed on to
+  * [[ExpData]], whose loaders keep theirs because `kgbench` calls them with a
+  * session.
   */
 object Experiments {
 
@@ -51,8 +54,8 @@ object Experiments {
   final case class Table4Row(method: String, entities: Double, triples: Double,
                              hours: Double, estimate: Double)
 
-  def table4(spark: SparkSession, trials: Int = 200, seed: Long = 1001):
-      (Seq[Table4Row], Seq[String]) = {
+  def table4(spark: SparkSession): (Seq[Table4Row], Seq[String]) = {
+    val (trials, seed) = (200, 1001L)
     val kg = ExpData.movie(spark)
     val srs  = StaticEval.monteCarlo(trials, seed)(rng => StaticEval.srs(kg, DefaultCfg, rng))
     val twcs = StaticEval.monteCarlo(trials, seed + 500)(rng => StaticEval.twcs(kg, 10, DefaultCfg, rng))
@@ -74,8 +77,8 @@ object Experiments {
   def optimalM(kg: KGSummary): Int =
     Variance.optimalM(kg, DefaultCfg.eps, DefaultCfg.z)
 
-  def table5(spark: SparkSession, trialsSmall: Int = 200, trialsMovie: Int = 100,
-             seed: Long = 2001): (Map[(String, String), McStats], Seq[String]) = {
+  def table5(spark: SparkSession): (Map[(String, String), McStats], Seq[String]) = {
+    val (trialsSmall, trialsMovie, seed) = (200, 100, 2001L)
     val nell  = ExpData.nell(spark)
     val yago  = ExpData.yago(spark)
     val movie = ExpData.movie(spark)
@@ -118,8 +121,8 @@ object Experiments {
   final case class Table6Row(kg: String, method: String, machineMillis: Double,
                              annotated: Double, hours: Double, estimate: Double)
 
-  def table6(spark: SparkSession, trials: Int = 200, kgEvalReps: Int = 3,
-             seed: Long = 3001): (Seq[Table6Row], Seq[String]) = {
+  def table6(spark: SparkSession): (Seq[Table6Row], Seq[String]) = {
+    val (trials, kgEvalReps, seed) = (200, 3, 3001L)
     val cost = CostModel.default
     val rows = Seq("nell", "yago").flatMap { name =>
       val kgName  = name.toUpperCase
@@ -152,8 +155,8 @@ object Experiments {
   // Table 7 — TWCS with stratification (cum √F) vs oracle stratification
   // ================================================================
 
-  def table7(spark: SparkSession, trialsSmall: Int = 200, trialsMovie: Int = 100,
-             seed: Long = 4001): (Map[(String, String), McStats], Seq[String]) = {
+  def table7(spark: SparkSession): (Map[(String, String), McStats], Seq[String]) = {
+    val (trialsSmall, trialsMovie, seed) = (200, 100, 4001L)
     val nell  = ExpData.nell(spark)
     val syn   = ExpData.movieSyn(spark)
     val movie = ExpData.movie(spark)
@@ -195,9 +198,18 @@ object Experiments {
   final case class EvolvingRow(setting: String, baselineH: Double, rsH: Double,
                                ssH: Double, overallAcc: Double)
 
+  /** Second-stage size of every evolving-KG evaluator. */
+  private val EvolvingM = 5
+
+  /** Accuracy of the update batches along a sequence (Fig 9). */
+  private val SequenceAcc = 0.9
+
+  /** Update batches per sequence (Fig 9). */
+  private val SequenceBatches = 30
+
   /** Base KG for the evolving experiments: 50% subset of MOVIE with REM(0.1)
     * labels (§7.3). Its summary is built on the driver by [[ExpData.movie]];
-    * `spark` is unused and stays for the callers that pass a session.
+    * `spark` is unused and stays because `kgbench` calls this with a session.
     */
   def evolvingBase(spark: SparkSession): KGSummary = ExpData.movie(spark, scale = 0.5)
 
@@ -218,8 +230,8 @@ object Experiments {
   }
 
   /** RS with |R| set by a static TWCS run on the base KG, its reservoir built. */
-  private def reservoirOn(base: KGSummary, m: Int, cfg: EvalConfig, rng: Random,
-                          bias: Double): ReservoirEvaluator = {
+  private def reservoirOn(base: KGSummary, rng: Random, bias: Double): ReservoirEvaluator = {
+    val (cfg, m) = (DefaultCfg, EvolvingM)
     val init = StaticEval.twcs(base, m, cfg, rng)
     val ev = new ReservoirEvaluator(math.max(cfg.minClusterDraws, init.clusterDraws),
       m, cfg, rng, initBias = bias)
@@ -228,12 +240,12 @@ object Experiments {
   }
 
   /** One single-batch comparison point: mean per-update cost of Baseline / RS
-    * / SS over `trials` runs, for an update of `sizeFrac`·|base| triples at
+    * / SS over 50 runs, for an update of `sizeFrac`·|base| triples at
     * accuracy `acc`.
     */
-  def singleBatchPoint(base: KGSummary, sizeFrac: Double, acc: Double, m: Int,
-                       trials: Int, seed: Long): EvolvingRow = {
-    val cfg = DefaultCfg
+  private def singleBatchPoint(base: KGSummary, sizeFrac: Double, acc: Double,
+                               seed: Long): EvolvingRow = {
+    val (cfg, m, trials) = (DefaultCfg, EvolvingM, 50)
     var accSum = 0.0
     val (bs, rs, ss) = (ArrayBuffer[Double](), ArrayBuffer[Double](), ArrayBuffer[Double]())
     for (t <- 0 until trials) {
@@ -244,7 +256,7 @@ object Experiments {
       baseline.initialize(base)
       bs += baseline.applyUpdate(batch).costHours
 
-      rs += reservoirOn(base, m, cfg, rng, 0.0).applyUpdate(batch).costHours
+      rs += reservoirOn(base, rng, 0.0).applyUpdate(batch).costHours
 
       val strat = new StratifiedEvaluator(m, cfg, rng)
       strat.initialize(base)
@@ -257,14 +269,14 @@ object Experiments {
       Stats.mean(bs.toSeq), Stats.mean(rs.toSeq), Stats.mean(ss.toSeq), accSum / trials)
   }
 
-  def evolvingSingleBatch(spark: SparkSession, trials: Int = 50, m: Int = 5,
-                          seed: Long = 5001): (Seq[EvolvingRow], Seq[String]) = {
+  def evolvingSingleBatch(spark: SparkSession): (Seq[EvolvingRow], Seq[String]) = {
+    val seed = 5001L
     val base = evolvingBase(spark)
     val bySize = Seq(0.1, 0.2, 0.3, 0.4, 0.5).zipWithIndex.map { case (f, i) =>
-      singleBatchPoint(base, f, 0.9, m, trials, seed + i * 1000)
+      singleBatchPoint(base, f, 0.9, seed + i * 1000)
     }
     val byAcc = Seq(0.2, 0.4, 0.6, 0.8).zipWithIndex.map { case (a, i) =>
-      singleBatchPoint(base, 0.5, a, m, trials, seed + 50000 + i * 1000)
+      singleBatchPoint(base, 0.5, a, seed + 50000 + i * 1000)
     }
     val rows = bySize ++ byAcc
     val lines = Seq(f"${"setting"}%-22s ${"Baseline(h)"}%12s ${"RS(h)"}%8s ${"SS(h)"}%8s ${"overall acc"}%12s") ++
@@ -275,26 +287,25 @@ object Experiments {
   /** Sequence-of-updates result: per-batch estimates and truth. */
   final case class SequenceRun(estimates: Seq[Double], truths: Seq[Double])
 
-  /** Apply `batches` 10%-of-base updates (accuracy `acc`) and record every
-    * snapshot estimate, optionally starting from an injected bad estimate
-    * (`bias` ≈ ±0.07 as in Fig 9-2/9-3).
+  /** Apply [[SequenceBatches]] 10%-of-base updates (accuracy [[SequenceAcc]])
+    * and record every snapshot estimate, optionally starting from an injected
+    * bad estimate (`bias` ≈ ±0.07 as in Fig 9-2/9-3).
     */
-  def sequenceRun(base: KGSummary, method: String, batches: Int, acc: Double,
-                  m: Int, bias: Double, seed: Long): SequenceRun = {
-    val cfg = DefaultCfg
+  private def sequenceRun(base: KGSummary, method: String, bias: Double,
+                          seed: Long): SequenceRun = {
     val rng = new Random(seed)
     val update: Array[Cluster] => SnapshotResult = method match {
       case "SS" =>
-        val ev = new StratifiedEvaluator(m, cfg, rng, initBias = bias)
+        val ev = new StratifiedEvaluator(EvolvingM, DefaultCfg, rng, initBias = bias)
         ev.initialize(base)
         ev.applyUpdate
-      case "RS" => reservoirOn(base, m, cfg, rng, bias).applyUpdate
+      case "RS" => reservoirOn(base, rng, bias).applyUpdate
       case other => throw new IllegalArgumentException(s"unknown method $other")
     }
-    val updates = updateBatches(base, 0.1, acc, rng)
+    val updates = updateBatches(base, 0.1, SequenceAcc, rng)
     var triples = base.numTriples
     var correct = base.clusters.map(_.tau.toLong).sum
-    val (estimates, truths) = (0 until batches).map { _ =>
+    val (estimates, truths) = (0 until SequenceBatches).map { _ =>
       val batch = updates.next()
       triples += batch.map(_.size.toLong).sum
       correct += batch.map(_.tau.toLong).sum
@@ -306,20 +317,20 @@ object Experiments {
   /** Unbiasedness (Fig 9-1): estimates averaged over runs, plus the
     * fault-injection experiment (Fig 9-2/9-3) showing RS recovering from a
     * ±7% initial mis-estimate faster than SS. Fault trajectories report the
-    * *signed* mean (estimate - truth) over `faultRuns` independent runs — the
+    * *signed* mean (estimate - truth) over 20 independent runs — the
     * residual bias, with per-run sampling noise averaged out. (The +7%
     * injection clamps at 100%, so the over case starts from a smaller
     * effective bias than the under case — accuracy cannot exceed 1.)
     */
-  def evolvingSequence(spark: SparkSession, runs: Int = 20, batches: Int = 30,
-                       m: Int = 5, faultRuns: Int = 20, seed: Long = 6001):
+  def evolvingSequence(spark: SparkSession):
       (Map[String, Seq[Double]], Map[String, (Seq[Double], Double)], Seq[String]) = {
+    val (runs, faultRuns, seed) = (20, 20, 6001L)
     val base = evolvingBase(spark)
 
     def meanTrajectory(method: String): Seq[Double] = {
       val trajs = (0 until runs).map(r =>
-        sequenceRun(base, method, batches, 0.9, m, 0.0, seed + r * 97).estimates)
-      (0 until batches).map(b => Stats.mean(trajs.map(_(b))))
+        sequenceRun(base, method, 0.0, seed + r * 97).estimates)
+      (0 until SequenceBatches).map(b => Stats.mean(trajs.map(_(b))))
     }
 
     /** (signed bias trajectory averaged over runs, mean batch-to-batch
@@ -329,10 +340,10 @@ object Experiments {
       */
     def faultStats(method: String, bias: Double, s: Long): (Seq[Double], Double) = {
       val runs = (0 until faultRuns).map(r =>
-        sequenceRun(base, method, batches, 0.9, m, bias, s + r * 131))
+        sequenceRun(base, method, bias, s + r * 131))
       val trajs = runs.map(run =>
         run.estimates.zip(run.truths).map { case (e, t) => e - t })
-      val traj = (0 until batches).map(b => Stats.mean(trajs.map(_(b))))
+      val traj = (0 until SequenceBatches).map(b => Stats.mean(trajs.map(_(b))))
       val volatility = Stats.mean(runs.map(run =>
         Stats.mean(run.estimates.sliding(2).map(w => math.abs(w(1) - w(0))).toSeq)))
       (traj, volatility)
@@ -345,7 +356,7 @@ object Experiments {
       "RS-under" -> faultStats("RS", -0.07, seed + 8888),
       "SS-under" -> faultStats("SS", -0.07, seed + 8888))
 
-    val marks = Seq(0, 4, 9, 19, 29).filter(_ < batches)
+    val marks = Seq(0, 4, 9, 19, 29)
     val lines =
       Seq("mean estimate by batch (truth ≈ 90%):") ++
       unbiased.toSeq.sortBy(_._1).map { case (mth, tr) =>
