@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.exp.Experiments
 
 /** Evolving-KG evaluation (the paper's §7.3, Figs 8 and 9 rendered as tables).
@@ -10,10 +11,10 @@ import repro.exp.Experiments
   * sequence; after a bad initial estimate RS recovers within 5-10 batches
   * while SS barely does.
   */
-class EvolvingBench extends SparkSpec {
+class EvolvingBench extends AnyFunSuite {
 
-  private lazy val (singleRows, singleLines) = Experiments.evolvingSingleBatch(spark)
-  private lazy val (unbiased, faults, seqLines) = Experiments.evolvingSequence(spark)
+  private lazy val (singleRows, singleLines) = Experiments.evolvingSingleBatch()
+  private lazy val (unbiased, faults, seqLines) = Experiments.evolvingSequence()
 
   test("single-batch report (Fig 8 as a table)") {
     info("== Evolving KG: single update batch (mean hours per update) ==")

@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.exp.Experiments
 
 /** Table 3 — data characteristics of the synthetic KGs vs the paper's.
@@ -9,9 +10,9 @@ import repro.exp.Experiments
   *        YAGO 822 / 1,386 / 1.7 / 99%;
   *        MOVIE 288,770 / 2,653,870 / 9.2 / 90% (5% MoE).
   */
-class Table3Bench extends SparkSpec {
+class Table3Bench extends AnyFunSuite {
 
-  private lazy val (stats, lines) = Experiments.table3(spark)
+  private lazy val (stats, lines) = Experiments.table3()
 
   test("Table 3 report") {
     info("== Table 3: data characteristics ==")

@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.exp.Experiments
 
 /** Table 4 — manual evaluation cost on MOVIE.
@@ -8,9 +9,9 @@ import repro.exp.Experiments
   * Paper: SRS 174 entities / 174 triples, 3.53 h (measured), estimate 88%;
   *        TWCS(m=10) 24 entities / 178 triples, 1.4 h, estimate 90%.
   */
-class Table4Bench extends SparkSpec {
+class Table4Bench extends AnyFunSuite {
 
-  private lazy val (rows, lines) = Experiments.table4(spark)
+  private lazy val (rows, lines) = Experiments.table4()
 
   test("Table 4 report") {
     info("== Table 4: manual evaluation cost on MOVIE ==")

@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.exp.{ExpData, Experiments}
 
 /** Table 5 — SRS / RCS / WCS / TWCS on MOVIE, NELL, YAGO.
@@ -10,15 +11,15 @@ import repro.exp.{ExpData, Experiments}
   *                YAGO   SRS 0.45±0.17, RCS 10±0.56,  WCS 0.49±0.04, TWCS 0.44±0.07
   * Estimates stay within ~3% of gold accuracy everywhere (except capped runs).
   */
-class Table5Bench extends SparkSpec {
+class Table5Bench extends AnyFunSuite {
 
-  private lazy val (results, lines) = Experiments.table5(spark)
+  private lazy val (results, lines) = Experiments.table5()
 
   test("Table 5 report") {
     info("== Table 5: static KG evaluation (hours, estimate, converged fraction) ==")
-    info(s"   optimal m: MOVIE=${Experiments.optimalM(ExpData.movie(spark))} " +
-      s"NELL=${Experiments.optimalM(ExpData.nell(spark))} " +
-      s"YAGO=${Experiments.optimalM(ExpData.yago(spark))}")
+    info(s"   optimal m: MOVIE=${Experiments.optimalM(ExpData.Movie)} " +
+      s"NELL=${Experiments.optimalM(ExpData.Nell)} " +
+      s"YAGO=${Experiments.optimalM(ExpData.Yago)}")
     lines.foreach(info(_))
     assert(results.size == 12)
   }
@@ -68,9 +69,9 @@ class Table5Bench extends SparkSpec {
 
   test("all converged estimates stay within 3% of gold accuracy") {
     val gold = Map(
-      "MOVIE" -> ExpData.movie(spark).accuracy,
-      "NELL"  -> ExpData.nell(spark).accuracy,
-      "YAGO"  -> ExpData.yago(spark).accuracy)
+      "MOVIE" -> ExpData.Movie.accuracy,
+      "NELL"  -> ExpData.Nell.accuracy,
+      "YAGO"  -> ExpData.Yago.accuracy)
     results.foreach { case ((kgName, mth), st) =>
       if (st.convergedFrac > 0.9) {
         assert(math.abs(st.meanEstimate - gold(kgName)) < 0.03, s"$kgName/$mth ${st.meanEstimate}")

@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.exp.{ExpData, Experiments}
 
 /** Table 6 — TWCS vs the KGEval baseline on NELL and YAGO.
@@ -13,9 +14,9 @@ import repro.exp.{ExpData, Experiments}
   * is KGEval's machine time sitting orders of magnitude above TWCS's, and its
   * annotation count being blind to KG accuracy.
   */
-class Table6Bench extends SparkSpec {
+class Table6Bench extends AnyFunSuite {
 
-  private lazy val (rows, lines) = Experiments.table6(spark)
+  private lazy val (rows, lines) = Experiments.table6()
 
   private def row(kg: String, mth: String) =
     rows.find(r => r.kg == kg && r.method == mth).get
@@ -35,8 +36,8 @@ class Table6Bench extends SparkSpec {
   }
 
   test("KGEval annotates a similar share of both KGs — accuracy-blind") {
-    val nellFrac = row("NELL", "KGEval").annotated / ExpData.nell(spark).numTriples
-    val yagoFrac = row("YAGO", "KGEval").annotated / ExpData.yago(spark).numTriples
+    val nellFrac = row("NELL", "KGEval").annotated / ExpData.Nell.numTriples
+    val yagoFrac = row("YAGO", "KGEval").annotated / ExpData.Yago.numTriples
     assert(nellFrac > 0.03 && nellFrac < 0.35, s"NELL $nellFrac")
     assert(yagoFrac > 0.03 && yagoFrac < 0.35, s"YAGO $yagoFrac")
   }
@@ -54,7 +55,7 @@ class Table6Bench extends SparkSpec {
   }
 
   test("both methods estimate accuracy within 4% of gold") {
-    val gold = Map("NELL" -> ExpData.nell(spark).accuracy, "YAGO" -> ExpData.yago(spark).accuracy)
+    val gold = Map("NELL" -> ExpData.Nell.accuracy, "YAGO" -> ExpData.Yago.accuracy)
     rows.foreach { r =>
       assert(math.abs(r.estimate - gold(r.kg)) < 0.04, s"${r.kg}/${r.method} ${r.estimate}")
     }

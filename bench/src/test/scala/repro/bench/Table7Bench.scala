@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.exp.{ExpData, Experiments}
 
 /** Table 7 — TWCS with stratification (cum √F size strata; oracle strata).
@@ -12,9 +13,9 @@ import repro.exp.{ExpData, Experiments}
   * (MOVIE-SYN's BMM labels), is a wash on NELL, and oracle stratification
   * lower-bounds the achievable cost.
   */
-class Table7Bench extends SparkSpec {
+class Table7Bench extends AnyFunSuite {
 
-  private lazy val (results, lines) = Experiments.table7(spark)
+  private lazy val (results, lines) = Experiments.table7()
 
   test("Table 7 report") {
     info("== Table 7: TWCS with stratification ==")
@@ -63,9 +64,9 @@ class Table7Bench extends SparkSpec {
 
   test("every variant remains unbiased (estimates within 3% of gold)") {
     val gold = Map(
-      "NELL"      -> ExpData.nell(spark).accuracy,
-      "MOVIE-SYN" -> ExpData.movieSyn(spark).accuracy,
-      "MOVIE"     -> ExpData.movie(spark).accuracy)
+      "NELL"      -> ExpData.Nell.accuracy,
+      "MOVIE-SYN" -> ExpData.MovieSyn.accuracy,
+      "MOVIE"     -> ExpData.Movie.accuracy)
     results.foreach { case ((kgName, m), st) =>
       assert(math.abs(st.meanEstimate - gold(kgName)) < 0.03, s"$kgName/$m ${st.meanEstimate}")
     }

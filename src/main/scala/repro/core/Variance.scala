@@ -8,6 +8,9 @@ package repro.core
   */
 object Variance {
 
+  /** The paper's fitted Eq 4 constants, which every cost formula here uses. */
+  private val cost = CostModel.default
+
   /** V(m) from Eq (10)/(12): Var(μ̂_{w,m}) = V(m)/n.
     *
     * V(m) = (1/M)·[ Σ_i M_i(μ_i-μ)² + (1/m)·Σ_{i:M_i>m} ((M_i-m)/(M_i-1))·M_i·μ_i(1-μ_i) ]
@@ -41,20 +44,16 @@ object Variance {
   /** Upper-bound TWCS cost in seconds (Eq 11/12): n·c1 + n·m·c2 with n = V(m)z²/ε².
     * "Upper bound" = assumes every sampled cluster has at least m triples.
     */
-  def twcsCostUpperBound(kg: KGSummary, m: Int, eps: Double, z: Double,
-                         cost: CostModel = CostModel.default): Double = {
+  def twcsCostUpperBound(kg: KGSummary, m: Int, eps: Double, z: Double): Double = {
     val n = vOfM(kg, m) * z * z / (eps * eps)
     n * (cost.c1 + m * cost.c2)
   }
 
   /** Optimal second-stage size m* minimizing the Eq (12) cost bound, found by
-    * linear search over the (small, discrete) candidate space.
+    * linear search over the (small, discrete) candidates 1..20.
     */
-  def optimalM(kg: KGSummary, eps: Double, z: Double,
-               cost: CostModel = CostModel.default, maxM: Int = 20): Int = {
-    require(maxM >= 1)
-    (1 to maxM).minBy(m => twcsCostUpperBound(kg, m, eps, z, cost))
-  }
+  def optimalM(kg: KGSummary, eps: Double, z: Double): Int =
+    (1 to 20).minBy(m => twcsCostUpperBound(kg, m, eps, z))
 
   /** SRS sample size for MoE <= eps given accuracy mu: n_s = μ(1-μ)z²/ε². */
   def srsRequiredN(mu: Double, eps: Double, z: Double): Int =
@@ -69,6 +68,6 @@ object Variance {
   }
 
   /** Expected SRS cost in seconds for n_s triples (objective in Eq 6). */
-  def srsExpectedCost(kg: KGSummary, ns: Int, cost: CostModel = CostModel.default): Double =
+  def srsExpectedCost(kg: KGSummary, ns: Int): Double =
     srsExpectedEntities(kg, ns) * cost.c1 + ns * cost.c2
 }

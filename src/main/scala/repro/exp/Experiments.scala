@@ -16,9 +16,8 @@ import scala.util.Random
   * structured results (for bench assertions) plus pre-formatted report lines
   * (printed by the table's bench suite and transcribed into EXPERIMENTS.md).
   * Trial counts and seeds are constants: the reproduced digits are a function
-  * of them. The `spark` parameters are unused; they are passed on to
-  * [[ExpData]], whose loaders keep theirs because `kgbench` calls them with a
-  * session.
+  * of them. No table needs a SparkSession: each runs on [[ExpData]]'s
+  * driver-built summaries.
   */
 object Experiments {
 
@@ -34,11 +33,11 @@ object Experiments {
   final case class KgStats(name: String, entities: Int, triples: Long,
                            avgClusterSize: Double, goldAccuracy: Double)
 
-  def table3(spark: SparkSession): (Seq[KgStats], Seq[String]) = {
+  def table3(): (Seq[KgStats], Seq[String]) = {
     val kgs = Seq(
-      "NELL-like"  -> ExpData.nell(spark),
-      "YAGO-like"  -> ExpData.yago(spark),
-      "MOVIE-like" -> ExpData.movie(spark))
+      "NELL-like"  -> ExpData.Nell,
+      "YAGO-like"  -> ExpData.Yago,
+      "MOVIE-like" -> ExpData.Movie)
     val stats = kgs.map { case (name, kg) =>
       KgStats(name, kg.numClusters, kg.numTriples, kg.meanClusterSize, kg.accuracy)
     }
@@ -54,9 +53,9 @@ object Experiments {
   final case class Table4Row(method: String, entities: Double, triples: Double,
                              hours: Double, estimate: Double)
 
-  def table4(spark: SparkSession): (Seq[Table4Row], Seq[String]) = {
+  def table4(): (Seq[Table4Row], Seq[String]) = {
     val (trials, seed) = (200, 1001L)
-    val kg = ExpData.movie(spark)
+    val kg = ExpData.Movie
     val srs  = StaticEval.monteCarlo(trials, seed)(rng => StaticEval.srs(kg, DefaultCfg, rng))
     val twcs = StaticEval.monteCarlo(trials, seed + 500)(rng => StaticEval.twcs(kg, 10, DefaultCfg, rng))
     val rows = Seq(
@@ -77,11 +76,9 @@ object Experiments {
   def optimalM(kg: KGSummary): Int =
     Variance.optimalM(kg, DefaultCfg.eps, DefaultCfg.z)
 
-  def table5(spark: SparkSession): (Map[(String, String), McStats], Seq[String]) = {
+  def table5(): (Map[(String, String), McStats], Seq[String]) = {
     val (trialsSmall, trialsMovie, seed) = (200, 100, 2001L)
-    val nell  = ExpData.nell(spark)
-    val yago  = ExpData.yago(spark)
-    val movie = ExpData.movie(spark)
+    val (nell, yago, movie) = (ExpData.Nell, ExpData.Yago, ExpData.Movie)
     val capped = DefaultCfg.copy(maxCostSeconds = MovieCap)
 
     val results = Map[(String, String), McStats](
@@ -121,13 +118,13 @@ object Experiments {
   final case class Table6Row(kg: String, method: String, machineMillis: Double,
                              annotated: Double, hours: Double, estimate: Double)
 
-  def table6(spark: SparkSession): (Seq[Table6Row], Seq[String]) = {
+  def table6(): (Seq[Table6Row], Seq[String]) = {
     val (trials, kgEvalReps, seed) = (200, 3, 3001L)
     val cost = CostModel.default
     val rows = Seq("nell", "yago").flatMap { name =>
       val kgName  = name.toUpperCase
-      val triples = ExpData.kgEvalTriples(spark, name)
-      val kg      = if (name == "nell") ExpData.nell(spark) else ExpData.yago(spark)
+      val triples = ExpData.kgEvalTriples(name)
+      val kg      = if (name == "nell") ExpData.Nell else ExpData.Yago
 
       val kge = (0 until kgEvalReps).map(r => KGEval.run(triples, seed = seed + r))
       // KGEval's annotation set is triple-level: every seed is its own
@@ -155,11 +152,9 @@ object Experiments {
   // Table 7 — TWCS with stratification (cum √F) vs oracle stratification
   // ================================================================
 
-  def table7(spark: SparkSession): (Map[(String, String), McStats], Seq[String]) = {
+  def table7(): (Map[(String, String), McStats], Seq[String]) = {
     val (trialsSmall, trialsMovie, seed) = (200, 100, 4001L)
-    val nell  = ExpData.nell(spark)
-    val syn   = ExpData.movieSyn(spark)
-    val movie = ExpData.movie(spark)
+    val (nell, syn, movie) = (ExpData.Nell, ExpData.MovieSyn, ExpData.Movie)
 
     def runsFor(kg: KGSummary, h: Int, trials: Int, s: Long, withOracle: Boolean):
         Map[String, McStats] = {
@@ -207,11 +202,11 @@ object Experiments {
   /** Update batches per sequence (Fig 9). */
   private val SequenceBatches = 30
 
-  /** Base KG for the evolving experiments: 50% subset of MOVIE with REM(0.1)
-    * labels (§7.3). Its summary is built on the driver by [[ExpData.movie]];
-    * `spark` is unused and stays because `kgbench` calls this with a session.
+  /** The evolving experiments' base KG, [[ExpData.MovieHalf]]. This loader
+    * exists only for `kgbench`, which calls it with a session; it goes with
+    * the benchmark change of ROADMAP item 7.
     */
-  def evolvingBase(spark: SparkSession): KGSummary = ExpData.movie(spark, scale = 0.5)
+  def evolvingBase(spark: SparkSession): KGSummary = ExpData.MovieHalf
 
   /** Update batches of `frac`·|base| triples at accuracy `acc`, each drawn
     * from `rng` when it is taken. Cluster ids come from a running counter
@@ -228,6 +223,9 @@ object Experiments {
       batch
     }
   }
+
+  /** Σ τ_i: the correct triples of `clusters`. */
+  private def correctTriples(clusters: Array[Cluster]): Long = clusters.iterator.map(_.tau.toLong).sum
 
   /** RS with |R| set by a static TWCS run on the base KG, its reservoir built. */
   private def reservoirOn(base: KGSummary, rng: Random, bias: Double): ReservoirEvaluator = {
@@ -246,6 +244,7 @@ object Experiments {
   private def singleBatchPoint(base: KGSummary, sizeFrac: Double, acc: Double,
                                seed: Long): EvolvingRow = {
     val (cfg, m, trials) = (DefaultCfg, EvolvingM, 50)
+    val baseCorrect = correctTriples(base.clusters)
     var accSum = 0.0
     val (bs, rs, ss) = (ArrayBuffer[Double](), ArrayBuffer[Double](), ArrayBuffer[Double]())
     for (t <- 0 until trials) {
@@ -262,16 +261,16 @@ object Experiments {
       strat.initialize(base)
       ss += strat.applyUpdate(batch).costHours
 
-      val all = base.clusters ++ batch
-      accSum += all.map(_.tau.toLong).sum.toDouble / all.map(_.size.toLong).sum
+      accSum += (baseCorrect + correctTriples(batch)).toDouble /
+        (base.numTriples + batch.map(_.size.toLong).sum)
     }
     EvolvingRow(f"size=${sizeFrac * 100}%.0f%% acc=${acc * 100}%.0f%%",
       Stats.mean(bs.toSeq), Stats.mean(rs.toSeq), Stats.mean(ss.toSeq), accSum / trials)
   }
 
-  def evolvingSingleBatch(spark: SparkSession): (Seq[EvolvingRow], Seq[String]) = {
+  def evolvingSingleBatch(): (Seq[EvolvingRow], Seq[String]) = {
     val seed = 5001L
-    val base = evolvingBase(spark)
+    val base = ExpData.MovieHalf
     val bySize = Seq(0.1, 0.2, 0.3, 0.4, 0.5).zipWithIndex.map { case (f, i) =>
       singleBatchPoint(base, f, 0.9, seed + i * 1000)
     }
@@ -304,11 +303,11 @@ object Experiments {
     }
     val updates = updateBatches(base, 0.1, SequenceAcc, rng)
     var triples = base.numTriples
-    var correct = base.clusters.map(_.tau.toLong).sum
+    var correct = correctTriples(base.clusters)
     val (estimates, truths) = (0 until SequenceBatches).map { _ =>
       val batch = updates.next()
       triples += batch.map(_.size.toLong).sum
-      correct += batch.map(_.tau.toLong).sum
+      correct += correctTriples(batch)
       (update(batch).estimate, correct.toDouble / triples)
     }.unzip
     SequenceRun(estimates, truths)
@@ -322,10 +321,10 @@ object Experiments {
     * injection clamps at 100%, so the over case starts from a smaller
     * effective bias than the under case — accuracy cannot exceed 1.)
     */
-  def evolvingSequence(spark: SparkSession):
+  def evolvingSequence():
       (Map[String, Seq[Double]], Map[String, (Seq[Double], Double)], Seq[String]) = {
     val (runs, faultRuns, seed) = (20, 20, 6001L)
-    val base = evolvingBase(spark)
+    val base = ExpData.MovieHalf
 
     def meanTrajectory(method: String): Seq[Double] = {
       val trajs = (0 until runs).map(r =>

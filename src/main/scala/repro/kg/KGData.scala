@@ -78,6 +78,7 @@ object KGData {
   private[repro] val MovieSeed    = 17L
   private[repro] val MovieSynSeed = 19L
   private[repro] val MovieModel: LabelModel = LabelModels.REM(0.1)
+  private[repro] val MovieSynModel: LabelModel = LabelModels.BMM(0.01, 0.1)
 
   private[repro] def nellLaw(seed: Long): Law =
     Law(817, rng => if (rng.nextDouble() < 0.98) {
@@ -113,16 +114,14 @@ object KGData {
     * thousands); at scale=1.0, 288,770 entities / ≈2.6M triples. Default
     * labels REM(0.1) -> 90% overall, matching MOVIE's measured gold accuracy.
     */
-  def movieLike(spark: SparkSession, scale: Double = 1.0,
-                model: LabelModel = MovieModel,
-                seed: Long = MovieSeed): DataFrame =
-    movieLaw(scale, model, seed).toDF(spark)
+  def movieLike(spark: SparkSession, scale: Double = 1.0, seed: Long = MovieSeed): DataFrame =
+    movieLaw(scale, MovieModel, seed).toDF(spark)
 
-  /** MOVIE-SYN: MOVIE-like sizes with Binomial-Mixture labels (Eq 15). */
-  def movieSyn(spark: SparkSession, scale: Double = 1.0,
-               c: Double = 0.01, sigma: Double = 0.1, k: Int = 3,
-               seed: Long = MovieSynSeed): DataFrame =
-    movieLaw(scale, LabelModels.BMM(c, sigma, k), seed).toDF(spark)
+  /** MOVIE-SYN: MOVIE-like sizes with Binomial-Mixture labels (Eq 15),
+    * BMM(c = 0.01, σ = 0.1, k = 3).
+    */
+  def movieSyn(spark: SparkSession, scale: Double = 1.0): DataFrame =
+    movieLaw(scale, MovieSynModel, MovieSynSeed).toDF(spark)
 }
 
 /** The per-cluster law of every KG, and MOVIE-like evolving-KG update

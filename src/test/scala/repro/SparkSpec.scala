@@ -17,7 +17,8 @@ import repro.jobs.JobSession
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
-  override def afterAll(): Unit = { super.afterAll() }
+  /** Start the session before the first test, so that no test's timing includes it. */
+  override def beforeAll(): Unit = { super.beforeAll(); spark }
 }
 
 object SparkSpec {

@@ -64,7 +64,7 @@ class VarianceSpec extends AnyFunSuite with PropHelper {
 
   test("optimalM stays within the searched range") {
     checkProp(Prop.forAll(genKg) { kg =>
-      val m = Variance.optimalM(kg, 0.05, z95, maxM = 20)
+      val m = Variance.optimalM(kg, 0.05, z95)
       m >= 1 && m <= 20
     }, minTests = 30)
   }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 
 import repro.SparkSpec
 import repro.core.KGSummary
-import repro.exp.ExpData
+import repro.exp.{ExpData, Experiments}
 
 import scala.util.Random
 
@@ -71,7 +71,8 @@ class KGDataSpec extends SparkSpec {
   }
 
   test("movieSyn BMM labels correlate accuracy with cluster size") {
-    val syn = KGSummary.fromTriples(KGData.movieSyn(spark, scale = 0.05, c = 0.05, sigma = 0.1))
+    val syn = KGSummary.fromTriples(
+      KGData.movieLaw(0.05, LabelModels.BMM(0.05, 0.1), KGData.MovieSynSeed).toDF(spark))
     def weightedAcc(cs: Array[repro.core.Cluster]): Double =
       cs.map(_.tau.toLong).sum.toDouble / cs.map(_.size.toLong).sum
     val big   = weightedAcc(syn.clusters.filter(_.size >= 20))
@@ -104,12 +105,13 @@ class KGDataSpec extends SparkSpec {
     .sortBy(r => (r._1, r._2))
 
   test("every KG is one law of (seed, subject): Spark on 1, 3 or 8 partitions equals the driver") {
+    val movie = KGData.movieLaw(0.02, KGData.MovieModel, KGData.MovieSeed)
+    val syn   = KGData.movieLaw(0.05, KGData.MovieSynModel, KGData.MovieSynSeed)
     val laws = Seq(
-      KGData.nellLaw(KGData.NellSeed) -> ExpData.nell(spark),
-      KGData.yagoLaw(KGData.YagoSeed) -> ExpData.yago(spark),
-      KGData.movieLaw(0.02, KGData.MovieModel, KGData.MovieSeed) -> ExpData.movie(spark, scale = 0.02),
-      KGData.movieLaw(0.05, LabelModels.BMM(0.01, 0.1), KGData.MovieSynSeed) ->
-        ExpData.movieSyn(spark, scale = 0.05))
+      KGData.nellLaw(KGData.NellSeed) -> ExpData.Nell,
+      KGData.yagoLaw(KGData.YagoSeed) -> ExpData.Yago,
+      movie -> movie.summary,
+      syn   -> syn.summary)
     laws.foreach { case (law, driver) =>
       val expected = (1L to law.entities).flatMap(law.triples)
       Seq(1, 3, 8).foreach { parts =>
@@ -125,8 +127,24 @@ class KGDataSpec extends SparkSpec {
     }
     val sparkNell = lawRows(KGData.nellLike(spark))
       .map { case (subject, _, predicate, obj, label) => (subject, predicate, obj, label) }
-    assert(sparkNell == ExpData.kgEvalTriples(spark, "nell")
+    assert(sparkNell == ExpData.kgEvalTriples("nell")
       .map(t => (t.subject, t.predicate, t.objectV, t.trueLabel)))
+  }
+
+  test("each standard KG's summary is built once, and kgbench's loaders return that instance") {
+    val standard = Seq(
+      ("NELL", ExpData.Nell, ExpData.nell(spark), KGData.nellLaw(KGData.NellSeed)),
+      ("YAGO", ExpData.Yago, ExpData.yago(spark), KGData.yagoLaw(KGData.YagoSeed)),
+      ("MOVIE", ExpData.Movie, ExpData.movie(spark),
+        KGData.movieLaw(1.0, KGData.MovieModel, KGData.MovieSeed)),
+      ("MOVIE-SYN", ExpData.MovieSyn, ExpData.movieSyn(spark),
+        KGData.movieLaw(1.0, KGData.MovieSynModel, KGData.MovieSynSeed)),
+      ("MOVIE at 0.5", ExpData.MovieHalf, Experiments.evolvingBase(spark),
+        KGData.movieLaw(0.5, KGData.MovieModel, KGData.MovieSeed)))
+    standard.foreach { case (name, value, forwarded, law) =>
+      assert(forwarded eq value, name)
+      assert(value.clusters.sameElements(law.summary.clusters), name)
+    }
   }
 
   test("a cluster's correct lines sit at uniform positions, not first") {
