@@ -31,9 +31,9 @@ object CostModel {
   * Tracks distinct annotated entities and, per entity, the number of distinct
   * annotated triples capped at the cluster size (one cannot annotate more
   * distinct triples than the cluster holds — relevant when with-replacement
-  * cluster draws revisit a cluster).
+  * cluster draws revisit a cluster). Costs follow [[CostModel.default]].
   */
-final class CostTracker(model: CostModel = CostModel.default) {
+final class CostTracker {
   private val triplesPerEntity = mutable.Map.empty[Long, Int]
   private var triplesTotal     = 0L
 
@@ -49,6 +49,6 @@ final class CostTracker(model: CostModel = CostModel.default) {
 
   def entities: Int  = triplesPerEntity.size
   def triples: Long  = triplesTotal
-  def seconds: Double = model.seconds(entities.toLong, triples)
+  def seconds: Double = CostModel.default.seconds(entities.toLong, triples)
   def hours: Double   = seconds / 3600.0
 }

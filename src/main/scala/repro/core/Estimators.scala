@@ -32,12 +32,7 @@ object Estimators {
     */
   def meanOfDraws(values: Seq[Double], z: Double): Estimate = {
     require(values.nonEmpty, "no draws")
-    val n  = values.size
-    val mu = Stats.mean(values)
-    val moe =
-      if (n < 2) Double.PositiveInfinity
-      else z * math.sqrt(Stats.sampleVariance(values) / n)
-    Estimate(mu, moe)
+    Estimate(Stats.mean(values), z * math.sqrt(varOfMean(values)))
   }
 
   /** One stratum's contribution: weight W_h, estimate μ̂_h and Var̂(μ̂_h). */

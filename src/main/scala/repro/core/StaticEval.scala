@@ -12,10 +12,11 @@ import scala.util.Random
   */
 final case class EvalConfig(eps: Double = 0.05,
                             alpha: Double = 0.05,
-                            maxCostSeconds: Double = Double.PositiveInfinity,
-                            cost: CostModel = CostModel.default) {
+                            maxCostSeconds: Double = Double.PositiveInfinity) {
   require(eps > 0 && eps < 1 && alpha > 0 && alpha < 1)
   def z: Double = Stats.zAlpha(alpha)
+  /** Eq 4 with the paper's fitted constants. */
+  val cost: CostModel = CostModel.default
   /** Triples per SRS iteration; also the CLT minimum n. */
   val srsBatch: Int = 30
   /** First-stage cluster draws per iteration. */
@@ -49,8 +50,12 @@ object StaticEval {
   /** The iterative framework of Fig 2, shared by every design. Before each
     * batch it stops when the MoE meets ε once the sample floor (`minDraws`
     * draws, `minTriples` annotated triples) is met, when the annotation cost
-    * reaches the budget, or when the KG is `exhausted`. Otherwise it makes up
-    * to `batch` single draws and re-estimates.
+    * reaches the budget, or when the KG drawn from, of `kgTriples` triples, is
+    * exhausted: every triple is annotated, so later draws would cost nothing
+    * and could not end a loop whose floors or ε it cannot meet. Otherwise it
+    * makes up to `batch` single draws and re-estimates. `kgTriples` is read
+    * only when neither the MoE rule nor the budget stops the loop, so a KG
+    * built on demand is not built while the sample in hand meets ε.
     *
     * The rule is checked before drawing because stratified TWCS and the RS/SS
     * updates enter with draws already made; with no draw made (`drawn` = 0)
@@ -58,8 +63,9 @@ object StaticEval {
     */
   private[repro] def iterate(cfg: EvalConfig, tracker: CostTracker, batch: Int,
                              minDraws: Int, minTriples: Long,
-                             drawn: => Int, exhausted: => Boolean)
+                             drawn: => Int, kgTriples: => Long)
                             (draw: => Unit)(estimate: => Estimate): Estimate = {
+    def exhausted: Boolean = tracker.triples >= kgTriples
     var est = if (drawn == 0) Estimate(0.0, Double.PositiveInfinity) else estimate
     def stop: Boolean =
       (drawn >= minDraws && tracker.triples >= minTriples && est.moe <= cfg.eps) ||
@@ -74,17 +80,13 @@ object StaticEval {
 
   /** [[iterate]] for the mean-of-draws designs: each draw is charged to
     * `tracker` and its value appended to `values`, which may arrive seeded.
-    * The KG drawn from, of `kgTriples` triples, is exhausted once every
-    * triple is annotated: later draws would cost nothing and could not end a
-    * loop whose floors or ε it cannot meet.
     */
   private[repro] def iterateDraws(cfg: EvalConfig, tracker: CostTracker,
                                  values: ArrayBuffer[Double], minDraws: Int, minTriples: Long,
                                  kgTriples: => Long)
                                 (draw: => LocalSamplers.ClusterDraw)
                                 (value: LocalSamplers.ClusterDraw => Double): Estimate =
-    iterate(cfg, tracker, cfg.clusterBatch, minDraws, minTriples, values.size,
-            exhausted = tracker.triples >= kgTriples) {
+    iterate(cfg, tracker, cfg.clusterBatch, minDraws, minTriples, values.size, kgTriples) {
       val d = draw
       tracker.record(d.cluster.id, d.cluster.size, d.annotated)
       values += value(d)
@@ -94,26 +96,27 @@ object StaticEval {
     EvalResult(est.value, est.moe, draws, tracker.entities, tracker.triples,
       tracker.seconds, est.moe <= cfg.eps)
 
-  /** SRS: batches of `srsBatch` triples without replacement, Eq (5) estimator. */
+  /** SRS: batches of `srsBatch` triples without replacement, Eq (5) estimator.
+    * Each draw annotates one new triple (cluster ids are unique), so the
+    * tracker's triple count is the sample size n.
+    */
   def srs(kg: KGSummary, cfg: EvalConfig, rng: Random): EvalResult = {
     val stream  = new LocalSamplers.SrsStream(kg, rng)
-    val tracker = new CostTracker(cfg.cost)
-    var n       = 0
+    val tracker = new CostTracker()
     var correct = 0L
     val est = iterate(cfg, tracker, cfg.srsBatch, cfg.srsBatch, 0L,
-                      drawn = n, exhausted = n >= kg.numTriples) {
+                      tracker.triples.toInt, kg.numTriples) {
       val (idx, ok) = stream.next()
       val c = kg.clusters(idx)
       tracker.record(c.id, c.size, 1)
-      n += 1
       if (ok) correct += 1
-    }(Estimators.srs(correct, n, cfg.z))
+    }(Estimators.srs(correct, tracker.triples, cfg.z))
     result(est, 0, tracker, cfg)
   }
 
   private def clusterDesign(kg: KGSummary, cfg: EvalConfig)(draw: => LocalSamplers.ClusterDraw)
                            (value: LocalSamplers.ClusterDraw => Double): EvalResult = {
-    val tracker = new CostTracker(cfg.cost)
+    val tracker = new CostTracker()
     val values  = ArrayBuffer.empty[Double]
     val est = iterateDraws(cfg, tracker, values, cfg.minClusterDraws, cfg.minTriples,
                            kg.numTriples)(draw)(value)
@@ -143,7 +146,7 @@ object StaticEval {
                      cfg: EvalConfig, rng: Random): EvalResult = {
     require(strata.nonEmpty)
     val ws      = Stratification.weights(strata)
-    val tracker = new CostTracker(cfg.cost)
+    val tracker = new CostTracker()
     val values  = strata.map(_ => ArrayBuffer.empty[Double])
     // variance floor keeps exploring strata whose few draws happened to agree
     val varFloor = 1e-4
@@ -168,7 +171,7 @@ object StaticEval {
     val totalTriples = kgTriples.sum
     def totalDraws: Int = values.map(_.size).sum
     val est = iterate(cfg, tracker, cfg.clusterBatch, cfg.minClusterDraws, cfg.minTriples,
-                      totalDraws, exhausted = tracker.triples >= totalTriples) {
+                      totalDraws, totalTriples) {
       drawIn(strata.indices.maxBy { h =>
         val nH = values(h).size.toDouble
         val s2 = math.max(Stats.sampleVariance(values(h).toSeq), varFloor)

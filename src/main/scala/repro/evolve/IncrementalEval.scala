@@ -87,7 +87,7 @@ object IncrementalEval {
 
     def applyUpdate(batch: Array[Cluster]): SnapshotResult = {
       all ++= batch
-      val tracker = new CostTracker(cfg.cost)
+      val tracker = new CostTracker()
       batch.foreach { c =>
         reservoir.offer(c, rng) {
           val d = LocalSamplers.secondStage(c, m, rng)
@@ -124,7 +124,7 @@ object IncrementalEval {
     /** Run the initial static TWCS evaluation on the base KG, keeping its draws. */
     def initialize(base: KGSummary): Unit = {
       val values = ArrayBuffer.empty[Double]
-      StaticEval.iterateDraws(cfg, new CostTracker(cfg.cost), values, cfg.minClusterDraws,
+      StaticEval.iterateDraws(cfg, new CostTracker(), values, cfg.minClusterDraws,
         cfg.minTriples, base.numTriples)(LocalSamplers.twcsDraw(base, m, rng))(_.sampleMean)
       strata += base.numTriples -> values.map(v => clamp01(v + initBias))
     }
@@ -138,10 +138,10 @@ object IncrementalEval {
     def applyUpdate(batch: Array[Cluster]): SnapshotResult = {
       val delta   = KGSummary(batch)
       val values  = ArrayBuffer.empty[Double]
-      val tracker = new CostTracker(cfg.cost)
+      val tracker = new CostTracker()
       strata += delta.numTriples -> values
       val est = StaticEval.iterate(cfg, tracker, cfg.clusterBatch, cfg.minClusterDraws, 0L,
-                                   values.size, exhausted = tracker.triples >= delta.numTriples) {
+                                   values.size, delta.numTriples) {
         val d = LocalSamplers.twcsDraw(delta, m, rng)
         tracker.record(d.cluster.id, d.cluster.size, d.annotated)
         values += d.sampleMean

@@ -35,17 +35,11 @@ object ExpData {
 
   def movieSyn(spark: SparkSession): KGSummary = MovieSyn
 
-  /** Full triples of the small KGs, in subject order, for the KGEval baseline
+  /** Full triples of `law`'s KG, in subject order, for the KGEval baseline
     * (which needs predicates/objects to build its coupling graph).
     */
-  def kgEvalTriples(kg: String): IndexedSeq[KGEval.Triple] = {
-    val law = kg match {
-      case "nell" => nellLaw(NellSeed)
-      case "yago" => yagoLaw(YagoSeed)
-      case other  => throw new IllegalArgumentException(s"unknown small KG $other")
-    }
+  private[repro] def kgEvalTriples(law: Law): IndexedSeq[KGEval.Triple] =
     (1L to law.entities).flatMap(law.triples).zipWithIndex.map {
       case ((subject, _, predicate, obj, label), i) => KGEval.Triple(i, subject, predicate, obj, label)
     }
-  }
 }

@@ -6,9 +6,10 @@ import repro.core._
 import repro.core.StaticEval.McStats
 import repro.evolve.SnapshotResult
 import repro.evolve.IncrementalEval._
-import repro.kg.{LabelModels, LocalKGGen}
+import repro.kg.{KGData, LabelModels, LocalKGGen}
 import repro.kgeval.KGEval
 
+import scala.collection.immutable.SeqMap
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
@@ -17,7 +18,8 @@ import scala.util.Random
   * (printed by the table's bench suite and transcribed into EXPERIMENTS.md).
   * Trial counts and seeds are constants: the reproduced digits are a function
   * of them. No table needs a SparkSession: each runs on [[ExpData]]'s
-  * driver-built summaries.
+  * driver-built summaries. Tables 4, 5 and 7 are lists of Monte-Carlo cells,
+  * each KG's m* and strata computed once, outside every run.
   */
 object Experiments {
 
@@ -47,69 +49,95 @@ object Experiments {
   }
 
   // ================================================================
-  // Table 4 — manual evaluation cost on MOVIE: SRS vs TWCS(m=10)
+  // Tables 4, 5 and 7 — Monte-Carlo cells
   // ================================================================
 
-  final case class Table4Row(method: String, entities: Double, triples: Double,
-                             hours: Double, estimate: Double)
+  /** A Monte-Carlo table: statistics per (KG, method), in row order. */
+  type McTable = SeqMap[(String, String), McStats]
 
-  def table4(): (Seq[Table4Row], Seq[String]) = {
-    val (trials, seed) = (200, 1001L)
-    val kg = ExpData.Movie
-    val srs  = StaticEval.monteCarlo(trials, seed)(rng => StaticEval.srs(kg, DefaultCfg, rng))
-    val twcs = StaticEval.monteCarlo(trials, seed + 500)(rng => StaticEval.twcs(kg, 10, DefaultCfg, rng))
-    val rows = Seq(
-      Table4Row("SRS", srs.meanEntities, srs.meanTriples, srs.meanCostHours, srs.meanEstimate),
-      Table4Row("TWCS(m=10)", twcs.meanEntities, twcs.meanTriples, twcs.meanCostHours, twcs.meanEstimate))
-    val lines = Seq(f"${"method"}%-11s ${"entities"}%9s ${"triples"}%8s ${"hours"}%6s ${"estimate"}%9s") ++
-      rows.map(r => f"${r.method}%-11s ${r.entities}%9.1f ${r.triples}%8.1f ${r.hours}%6.2f ${pctS(r.estimate)}%9s")
-    (rows, lines)
+  /** One Monte-Carlo cell of a static-evaluation table: `trials` runs of
+    * `run` on the KG named `kg`, their RNGs drawn from a master seeded by
+    * `seed`.
+    */
+  private final case class Cell(kg: String, method: String, trials: Int, seed: Long,
+                                run: Random => EvalResult) {
+    def stats: McStats = StaticEval.monteCarlo(trials, seed)(run)
   }
 
-  // ================================================================
-  // Table 5 — SRS / RCS / WCS / TWCS on MOVIE, NELL, YAGO
-  // ================================================================
+  private def runCells(cells: Seq[Cell]): McTable =
+    cells.map(c => (c.kg, c.method) -> c.stats).to(SeqMap)
 
-  /** The paper stops RCS/WCS annotation on MOVIE at 5 hours. */
-  private val MovieCap = 5.0 * 3600
+  /** Table 4 — manual evaluation cost on MOVIE: SRS vs TWCS(m=10). */
+  def table4(): (McTable, Seq[String]) = {
+    val kg = ExpData.Movie
+    val results = runCells(Seq(
+      Cell("MOVIE", "SRS", 200, 1001L, StaticEval.srs(kg, DefaultCfg, _)),
+      Cell("MOVIE", "TWCS(m=10)", 200, 1501L, StaticEval.twcs(kg, 10, DefaultCfg, _))))
+    val lines = Seq(f"${"method"}%-11s ${"entities"}%9s ${"triples"}%8s ${"hours"}%6s ${"estimate"}%9s") ++
+      results.map { case ((_, method), st) =>
+        f"$method%-11s ${st.meanEntities}%9.1f ${st.meanTriples}%8.1f ${st.meanCostHours}%6.2f ${pctS(st.meanEstimate)}%9s"
+      }
+    (results, lines)
+  }
 
   def optimalM(kg: KGSummary): Int =
     Variance.optimalM(kg, DefaultCfg.eps, DefaultCfg.z)
 
-  def table5(): (Map[(String, String), McStats], Seq[String]) = {
-    val (trialsSmall, trialsMovie, seed) = (200, 100, 2001L)
-    val (nell, yago, movie) = (ExpData.Nell, ExpData.Yago, ExpData.Movie)
-    val capped = DefaultCfg.copy(maxCostSeconds = MovieCap)
-
-    val results = Map[(String, String), McStats](
-      ("MOVIE", "SRS")  -> StaticEval.monteCarlo(trialsMovie, seed + 1)(StaticEval.srs(movie, DefaultCfg, _)),
-      ("MOVIE", "RCS")  -> StaticEval.monteCarlo(trialsMovie, seed + 2)(StaticEval.rcs(movie, capped, _)),
-      ("MOVIE", "WCS")  -> StaticEval.monteCarlo(trialsMovie, seed + 3)(StaticEval.wcs(movie, capped, _)),
-      ("MOVIE", "TWCS") -> StaticEval.monteCarlo(trialsMovie, seed + 4)(StaticEval.twcs(movie, optimalM(movie), DefaultCfg, _)),
-      ("NELL", "SRS")   -> StaticEval.monteCarlo(trialsSmall, seed + 5)(StaticEval.srs(nell, DefaultCfg, _)),
-      ("NELL", "RCS")   -> StaticEval.monteCarlo(trialsSmall, seed + 6)(StaticEval.rcs(nell, DefaultCfg, _)),
-      ("NELL", "WCS")   -> StaticEval.monteCarlo(trialsSmall, seed + 7)(StaticEval.wcs(nell, DefaultCfg, _)),
-      ("NELL", "TWCS")  -> StaticEval.monteCarlo(trialsSmall, seed + 8)(StaticEval.twcs(nell, optimalM(nell), DefaultCfg, _)),
-      ("YAGO", "SRS")   -> StaticEval.monteCarlo(trialsSmall, seed + 9)(StaticEval.srs(yago, DefaultCfg, _)),
-      ("YAGO", "RCS")   -> StaticEval.monteCarlo(trialsSmall, seed + 10)(StaticEval.rcs(yago, DefaultCfg, _)),
-      ("YAGO", "WCS")   -> StaticEval.monteCarlo(trialsSmall, seed + 11)(StaticEval.wcs(yago, DefaultCfg, _)),
-      ("YAGO", "TWCS")  -> StaticEval.monteCarlo(trialsSmall, seed + 12)(StaticEval.twcs(yago, optimalM(yago), DefaultCfg, _)))
-
-    val lines = renderPerKg(results, Seq("MOVIE", "NELL", "YAGO"),
-      Seq("SRS", "RCS", "WCS", "TWCS"))
-    (results, lines)
+  /** Table 5 — SRS / RCS / WCS / TWCS(m*) on MOVIE, NELL and YAGO. MOVIE runs
+    * 100 trials, and RCS and WCS stop there at 5 hours, as in the paper.
+    */
+  def table5(): (McTable, Seq[String]) = {
+    val capped = DefaultCfg.copy(maxCostSeconds = 5.0 * 3600)
+    val kgs = Seq(("MOVIE", ExpData.Movie, 100, capped),
+                  ("NELL", ExpData.Nell, 200, DefaultCfg),
+                  ("YAGO", ExpData.Yago, 200, DefaultCfg))
+    val cells = kgs.zipWithIndex.flatMap { case ((name, kg, trials, clusterCfg), i) =>
+      val (m, s) = (optimalM(kg), 2001L + 4 * i)
+      Seq(
+        Cell(name, "SRS", trials, s + 1, StaticEval.srs(kg, DefaultCfg, _)),
+        Cell(name, "RCS", trials, s + 2, StaticEval.rcs(kg, clusterCfg, _)),
+        Cell(name, "WCS", trials, s + 3, StaticEval.wcs(kg, clusterCfg, _)),
+        Cell(name, "TWCS", trials, s + 4, StaticEval.twcs(kg, m, DefaultCfg, _)))
+    }
+    val results = runCells(cells)
+    (results, renderPerKg(results))
   }
 
-  private def renderPerKg(results: Map[(String, String), McStats],
-                          kgs: Seq[String], methods: Seq[String]): Seq[String] = {
-    val header = f"${"KG"}%-10s ${"method"}%-22s ${"hours"}%14s ${"estimate"}%16s ${"conv"}%6s"
-    header +: (for {
-      kgName <- kgs
-      method <- methods
-      st     <- results.get((kgName, method)).toSeq
-    } yield f"$kgName%-10s $method%-22s ${f"${st.meanCostHours}%.2f±${st.sdCostHours}%.2f"}%14s " +
-      f"${f"${pctS(st.meanEstimate)}±${st.sdEstimate * 100}%.1f"}%16s ${st.convergedFrac}%6.2f")
+  /** Table 7 — TWCS with stratification (cum √F) vs oracle stratification.
+    * Strata counts follow the paper: NELL 2, MOVIE/MOVIE-SYN 4. Oracle
+    * stratification on MOVIE is N/A in the paper (no full labels); we mirror
+    * that to keep the table comparable.
+    */
+  def table7(): (McTable, Seq[String]) = {
+    val seed = 4001L
+
+    def runsFor(name: String, kg: KGSummary, h: Int, trials: Int, s: Long,
+                withOracle: Boolean): Seq[Cell] = {
+      val m = optimalM(kg)
+      val size = Stratification.sizeStrata(kg, h)
+      Seq(
+        Cell(name, "SRS", trials, s + 1, StaticEval.srs(kg, DefaultCfg, _)),
+        Cell(name, "TWCS", trials, s + 2, StaticEval.twcs(kg, m, DefaultCfg, _)),
+        Cell(name, "TWCS w/ Size Strat", trials, s + 3, StaticEval.twcsStratified(size, m, DefaultCfg, _))) ++
+      Option.when(withOracle) {
+        val oracle = Stratification.oracleStrata(kg, h)
+        Cell(name, "TWCS w/ Oracle Strat", trials, s + 4, StaticEval.twcsStratified(oracle, m, DefaultCfg, _))
+      }
+    }
+
+    val results = runCells(
+      runsFor("NELL", ExpData.Nell, 2, 200, seed, withOracle = true) ++
+      runsFor("MOVIE-SYN", ExpData.MovieSyn, 4, 100, seed + 100, withOracle = true) ++
+      runsFor("MOVIE", ExpData.Movie, 4, 100, seed + 200, withOracle = false))
+    (results, renderPerKg(results))
   }
+
+  private def renderPerKg(results: McTable): Seq[String] =
+    f"${"KG"}%-10s ${"method"}%-22s ${"hours"}%14s ${"estimate"}%16s ${"conv"}%6s" +:
+      results.toSeq.map { case ((kgName, method), st) =>
+        f"$kgName%-10s $method%-22s ${f"${st.meanCostHours}%.2f±${st.sdCostHours}%.2f"}%14s " +
+          f"${f"${pctS(st.meanEstimate)}±${st.sdEstimate * 100}%.1f"}%16s ${st.convergedFrac}%6.2f"
+      }
 
   // ================================================================
   // Table 6 — TWCS vs KGEval on NELL and YAGO
@@ -121,10 +149,10 @@ object Experiments {
   def table6(): (Seq[Table6Row], Seq[String]) = {
     val (trials, kgEvalReps, seed) = (200, 3, 3001L)
     val cost = CostModel.default
-    val rows = Seq("nell", "yago").flatMap { name =>
-      val kgName  = name.toUpperCase
-      val triples = ExpData.kgEvalTriples(name)
-      val kg      = if (name == "nell") ExpData.Nell else ExpData.Yago
+    val kgs = Seq(("NELL", KGData.nellLaw(KGData.NellSeed), ExpData.Nell),
+                  ("YAGO", KGData.yagoLaw(KGData.YagoSeed), ExpData.Yago))
+    val rows = kgs.flatMap { case (kgName, law, kg) =>
+      val triples = ExpData.kgEvalTriples(law)
 
       val kge = (0 until kgEvalReps).map(r => KGEval.run(triples, seed = seed + r))
       // KGEval's annotation set is triple-level: every seed is its own
@@ -134,9 +162,10 @@ object Experiments {
       val kgeAnnot  = Stats.mean(kge.map(_.annotated.toDouble))
       val kgeEst    = Stats.mean(kge.map(_.estimate))
 
+      // m* is the oracle's choice, not part of TWCS's machine time
+      val m = optimalM(kg)
       val t0 = System.nanoTime()
-      val twcs = StaticEval.monteCarlo(trials, seed + 100)(
-        StaticEval.twcs(kg, optimalM(kg), DefaultCfg, _))
+      val twcs = Cell(kgName, "TWCS", trials, seed + 100, StaticEval.twcs(kg, m, DefaultCfg, _)).stats
       val twcsMachine = (System.nanoTime() - t0) / 1e6 / trials // per evaluation
 
       Seq(
@@ -146,44 +175,6 @@ object Experiments {
     val lines = Seq(f"${"KG"}%-6s ${"method"}%-8s ${"machine(ms)"}%12s ${"#annotated"}%11s ${"hours"}%7s ${"estimate"}%9s") ++
       rows.map(r => f"${r.kg}%-6s ${r.method}%-8s ${r.machineMillis}%12.1f ${r.annotated}%11.1f ${r.hours}%7.2f ${pctS(r.estimate)}%9s")
     (rows, lines)
-  }
-
-  // ================================================================
-  // Table 7 — TWCS with stratification (cum √F) vs oracle stratification
-  // ================================================================
-
-  def table7(): (Map[(String, String), McStats], Seq[String]) = {
-    val (trialsSmall, trialsMovie, seed) = (200, 100, 4001L)
-    val (nell, syn, movie) = (ExpData.Nell, ExpData.MovieSyn, ExpData.Movie)
-
-    def runsFor(kg: KGSummary, h: Int, trials: Int, s: Long, withOracle: Boolean):
-        Map[String, McStats] = {
-      val m = optimalM(kg)
-      val size   = Stratification.sizeStrata(kg, h)
-      val base = Map(
-        "SRS"  -> StaticEval.monteCarlo(trials, s + 1)(StaticEval.srs(kg, DefaultCfg, _)),
-        "TWCS" -> StaticEval.monteCarlo(trials, s + 2)(StaticEval.twcs(kg, m, DefaultCfg, _)),
-        "TWCS w/ Size Strat" -> StaticEval.monteCarlo(trials, s + 3)(
-          StaticEval.twcsStratified(size, m, DefaultCfg, _)))
-      if (!withOracle) base
-      else {
-        val oracle = Stratification.oracleStrata(kg, h)
-        base + ("TWCS w/ Oracle Strat" -> StaticEval.monteCarlo(trials, s + 4)(
-          StaticEval.twcsStratified(oracle, m, DefaultCfg, _)))
-      }
-    }
-
-    // Strata counts follow the paper: NELL 2, MOVIE/MOVIE-SYN 4. Oracle
-    // stratification on MOVIE is N/A in the paper (no full labels); we mirror
-    // that to keep the table comparable.
-    val results =
-      runsFor(nell, 2, trialsSmall, seed, withOracle = true).map { case (k, v) => ("NELL", k) -> v } ++
-      runsFor(syn, 4, trialsMovie, seed + 100, withOracle = true).map { case (k, v) => ("MOVIE-SYN", k) -> v } ++
-      runsFor(movie, 4, trialsMovie, seed + 200, withOracle = false).map { case (k, v) => ("MOVIE", k) -> v }
-
-    val lines = renderPerKg(results, Seq("NELL", "MOVIE-SYN", "MOVIE"),
-      Seq("SRS", "TWCS", "TWCS w/ Size Strat", "TWCS w/ Oracle Strat"))
-    (results, lines)
   }
 
   // ================================================================
@@ -286,21 +277,21 @@ object Experiments {
   /** Sequence-of-updates result: per-batch estimates and truth. */
   final case class SequenceRun(estimates: Seq[Double], truths: Seq[Double])
 
-  /** Apply [[SequenceBatches]] 10%-of-base updates (accuracy [[SequenceAcc]])
-    * and record every snapshot estimate, optionally starting from an injected
-    * bad estimate (`bias` ≈ ±0.07 as in Fig 9-2/9-3).
+  /** An evolving evaluator's start: given the run's RNG and the injected
+    * initial bias, it builds the evaluator on the base KG and returns its
+    * update function.
     */
-  private def sequenceRun(base: KGSummary, method: String, bias: Double,
+  private type Start = (Random, Double) => Array[Cluster] => SnapshotResult
+
+  /** Apply [[SequenceBatches]] 10%-of-base updates (accuracy [[SequenceAcc]])
+    * to the evaluator that `start` builds and record every snapshot estimate,
+    * optionally starting from an injected bad estimate (`bias` ≈ ±0.07 as in
+    * Fig 9-2/9-3).
+    */
+  private def sequenceRun(base: KGSummary, start: Start, bias: Double,
                           seed: Long): SequenceRun = {
     val rng = new Random(seed)
-    val update: Array[Cluster] => SnapshotResult = method match {
-      case "SS" =>
-        val ev = new StratifiedEvaluator(EvolvingM, DefaultCfg, rng, initBias = bias)
-        ev.initialize(base)
-        ev.applyUpdate
-      case "RS" => reservoirOn(base, rng, bias).applyUpdate
-      case other => throw new IllegalArgumentException(s"unknown method $other")
-    }
+    val update = start(rng, bias)
     val updates = updateBatches(base, 0.1, SequenceAcc, rng)
     var triples = base.numTriples
     var correct = correctTriples(base.clusters)
@@ -325,10 +316,16 @@ object Experiments {
       (Map[String, Seq[Double]], Map[String, (Seq[Double], Double)], Seq[String]) = {
     val (runs, faultRuns, seed) = (20, 20, 6001L)
     val base = ExpData.MovieHalf
+    val rs: Start = (rng, bias) => reservoirOn(base, rng, bias).applyUpdate
+    val ss: Start = (rng, bias) => {
+      val ev = new StratifiedEvaluator(EvolvingM, DefaultCfg, rng, initBias = bias)
+      ev.initialize(base)
+      ev.applyUpdate
+    }
 
-    def meanTrajectory(method: String): Seq[Double] = {
+    def meanTrajectory(start: Start): Seq[Double] = {
       val trajs = (0 until runs).map(r =>
-        sequenceRun(base, method, 0.0, seed + r * 97).estimates)
+        sequenceRun(base, start, 0.0, seed + r * 97).estimates)
       (0 until SequenceBatches).map(b => Stats.mean(trajs.map(_(b))))
     }
 
@@ -337,9 +334,9 @@ object Experiments {
       * away from a bad start, which is the paper's Fig 9 fault-tolerance
       * argument; SS runs move only by stratum-weight dilution).
       */
-    def faultStats(method: String, bias: Double, s: Long): (Seq[Double], Double) = {
+    def faultStats(start: Start, bias: Double, s: Long): (Seq[Double], Double) = {
       val runs = (0 until faultRuns).map(r =>
-        sequenceRun(base, method, bias, s + r * 131))
+        sequenceRun(base, start, bias, s + r * 131))
       val trajs = runs.map(run =>
         run.estimates.zip(run.truths).map { case (e, t) => e - t })
       val traj = (0 until SequenceBatches).map(b => Stats.mean(trajs.map(_(b))))
@@ -348,12 +345,12 @@ object Experiments {
       (traj, volatility)
     }
 
-    val unbiased = Map("RS" -> meanTrajectory("RS"), "SS" -> meanTrajectory("SS"))
+    val unbiased = Map("RS" -> meanTrajectory(rs), "SS" -> meanTrajectory(ss))
     val faults = Map(
-      "RS-over"  -> faultStats("RS", +0.07, seed + 7777),
-      "SS-over"  -> faultStats("SS", +0.07, seed + 7777),
-      "RS-under" -> faultStats("RS", -0.07, seed + 8888),
-      "SS-under" -> faultStats("SS", -0.07, seed + 8888))
+      "RS-over"  -> faultStats(rs, +0.07, seed + 7777),
+      "SS-over"  -> faultStats(ss, +0.07, seed + 7777),
+      "RS-under" -> faultStats(rs, -0.07, seed + 8888),
+      "SS-under" -> faultStats(ss, -0.07, seed + 8888))
 
     val marks = Seq(0, 4, 9, 19, 29)
     val lines =

@@ -57,10 +57,4 @@ class CostModelSpec extends AnyFunSuite {
     val t = new CostTracker()
     assert(t.entities == 0 && t.triples == 0 && t.seconds == 0.0)
   }
-
-  test("a custom cost model flows through the tracker") {
-    val t = new CostTracker(CostModel(c1 = 100, c2 = 1))
-    t.record(7, 3, 3)
-    assert(t.seconds == 103.0)
-  }
 }

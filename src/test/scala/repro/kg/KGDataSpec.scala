@@ -127,7 +127,7 @@ class KGDataSpec extends SparkSpec {
     }
     val sparkNell = lawRows(KGData.nellLike(spark))
       .map { case (subject, _, predicate, obj, label) => (subject, predicate, obj, label) }
-    assert(sparkNell == ExpData.kgEvalTriples("nell")
+    assert(sparkNell == ExpData.kgEvalTriples(KGData.nellLaw(KGData.NellSeed))
       .map(t => (t.subject, t.predicate, t.objectV, t.trueLabel)))
   }
 
