@@ -19,9 +19,11 @@ class SparkPipelineBench extends SparkSpec {
   private lazy val kg      = KGSummary.fromTriples(triples)
 
   test("distributed TWCS pipeline estimates the KG accuracy") {
-    // caches `triples` and collects their summary before the clock starts,
-    // so the printed time is the sample and its estimate alone
+    // caches `triples` and collects their summary before the clock starts, and
+    // runs one call of another seed first, so the printed time is a warm
+    // sample and its estimate alone, not the JVM's first planning and codegen
     val kgTriples = kg.numTriples
+    SparkEstimators.clusterEstimate(SparkSamplers.twcsSample(triples, n = 60, m = 5, seed = 124), z95)
     val t0 = System.nanoTime()
     val sample = SparkSamplers.twcsSample(triples, n = 60, m = 5, seed = 24)
     val est = SparkEstimators.clusterEstimate(sample, z95)

@@ -10,20 +10,14 @@ import scala.collection.mutable
   * the set of distinct triples, so repeated draws of the same cluster or
   * triple are never double-charged.
   */
-final case class CostModel(c1: Double = CostModel.DefaultC1,
-                           c2: Double = CostModel.DefaultC2) {
+object CostModel {
+  /** Fitted constants from §7.1.3, in seconds. */
+  val c1 = 45.0
+  val c2 = 25.0
+
   /** Cost in seconds for a sample with `entities` distinct subjects and
     * `triples` distinct triples. */
   def seconds(entities: Long, triples: Long): Double = entities * c1 + triples * c2
-  /** Same, in hours (the unit the paper reports). */
-  def hours(entities: Long, triples: Long): Double = seconds(entities, triples) / 3600.0
-}
-
-object CostModel {
-  /** Fitted constants from §7.1.3. */
-  val DefaultC1 = 45.0
-  val DefaultC2 = 25.0
-  val default: CostModel = CostModel()
 }
 
 /** Mutable accumulator for the annotation cost of an iterative evaluation run.
@@ -31,7 +25,7 @@ object CostModel {
   * Tracks distinct annotated entities and, per entity, the number of distinct
   * annotated triples capped at the cluster size (one cannot annotate more
   * distinct triples than the cluster holds — relevant when with-replacement
-  * cluster draws revisit a cluster). Costs follow [[CostModel.default]].
+  * cluster draws revisit a cluster). Costs follow [[CostModel]].
   */
 final class CostTracker {
   private val triplesPerEntity = mutable.Map.empty[Long, Int]
@@ -49,6 +43,6 @@ final class CostTracker {
 
   def entities: Int  = triplesPerEntity.size
   def triples: Long  = triplesTotal
-  def seconds: Double = CostModel.default.seconds(entities.toLong, triples)
+  def seconds: Double = CostModel.seconds(entities.toLong, triples)
   def hours: Double   = seconds / 3600.0
 }

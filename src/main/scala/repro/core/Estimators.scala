@@ -1,10 +1,7 @@
 package repro.core
 
 /** Point estimate with its margin of error at the chosen confidence level. */
-final case class Estimate(value: Double, moe: Double) {
-  def ciLow: Double  = value - moe
-  def ciHigh: Double = value + moe
-}
+final case class Estimate(value: Double, moe: Double)
 
 /** Pure estimator math for all sampling designs (Eqs 5, 7, 8, 9, 13).
   *

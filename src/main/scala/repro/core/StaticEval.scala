@@ -6,17 +6,17 @@ import scala.util.Random
 /** Configuration of the iterative evaluation framework (Fig 2).
   *
   * @param eps             user-required margin of error (default 5%)
-  * @param alpha           1 - confidence level (default 5% -> 95% CI)
   * @param maxCostSeconds  annotation budget; exceeded => stop unconverged
   *                        (the paper caps RCS/WCS on MOVIE at 5 hours)
   */
 final case class EvalConfig(eps: Double = 0.05,
-                            alpha: Double = 0.05,
                             maxCostSeconds: Double = Double.PositiveInfinity) {
-  require(eps > 0 && eps < 1 && alpha > 0 && alpha < 1)
+  require(eps > 0 && eps < 1)
+  /** 1 - confidence level: the paper's 95% CI. */
+  val alpha: Double = 0.05
   def z: Double = Stats.zAlpha(alpha)
   /** Eq 4 with the paper's fitted constants. */
-  val cost: CostModel = CostModel.default
+  val cost: CostModel.type = CostModel
   /** Triples per SRS iteration; also the CLT minimum n. */
   val srsBatch: Int = 30
   /** First-stage cluster draws per iteration. */
@@ -142,7 +142,7 @@ object StaticEval {
     * stratum with the largest marginal variance reduction
     * W_h²·s_h²·(1/n_h - 1/(n_h+1)).
     */
-  def twcsStratified(strata: Seq[Stratification.StratumPop], m: Int,
+  def twcsStratified(strata: Seq[KGSummary], m: Int,
                      cfg: EvalConfig, rng: Random): EvalResult = {
     require(strata.nonEmpty)
     val ws      = Stratification.weights(strata)
@@ -152,7 +152,7 @@ object StaticEval {
     val varFloor = 1e-4
 
     def drawIn(h: Int): Unit = {
-      val d = LocalSamplers.twcsDraw(strata(h).kg, m, rng)
+      val d = LocalSamplers.twcsDraw(strata(h), m, rng)
       tracker.record(d.cluster.id, d.cluster.size, d.annotated)
       values(h) += d.sampleMean
     }
@@ -167,7 +167,7 @@ object StaticEval {
       (0 until minPerStratum).foreach(_ => if (tracker.seconds < cfg.maxCostSeconds) drawIn(h))
     }
 
-    val kgTriples = strata.map(_.kg.numTriples)
+    val kgTriples = strata.map(_.numTriples)
     val totalTriples = kgTriples.sum
     def totalDraws: Int = values.map(_.size).sum
     val est = iterate(cfg, tracker, cfg.clusterBatch, cfg.minClusterDraws, cfg.minTriples,

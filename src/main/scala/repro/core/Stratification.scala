@@ -10,10 +10,10 @@ package repro.core
   */
 object Stratification {
 
-  /** One stratum: its clusters as a sub-population plus its triple weight W_h. */
-  final case class StratumPop(clusters: Array[Cluster]) {
-    val kg: KGSummary = KGSummary(clusters)
-  }
+  /** A stratum is the [[KGSummary]] of its clusters. This name is kept only
+    * for `kgbench`; it goes with the forwarders of ROADMAP item 7.
+    */
+  type StratumPop = KGSummary
 
   /** Cumulative √F boundaries over a histogram of a discrete signal.
     *
@@ -46,7 +46,7 @@ object Stratification {
   }
 
   /** Partition clusters by a per-cluster signal against boundaries. */
-  def partition(kg: KGSummary, signal: Cluster => Double, bounds: Seq[Double]): Seq[StratumPop] = {
+  def partition(kg: KGSummary, signal: Cluster => Double, bounds: Seq[Double]): Seq[KGSummary] = {
     val sortedBounds = bounds.sorted
     val groups = kg.clusters.groupBy { c =>
       val v = signal(c)
@@ -55,25 +55,25 @@ object Stratification {
         case i  => i
       }
     }
-    groups.toSeq.sortBy(_._1).map { case (_, cs) => StratumPop(cs) }
+    groups.toSeq.sortBy(_._1).map { case (_, cs) => KGSummary(cs) }
   }
 
   /** Size Stratification: cum √F on the cluster-size histogram. */
-  def sizeStrata(kg: KGSummary, h: Int): Seq[StratumPop] = {
+  def sizeStrata(kg: KGSummary, h: Int): Seq[KGSummary] = {
     val hist = kg.clusters.groupBy(_.size).map { case (s, cs) => (s.toDouble, cs.length.toLong) }.toSeq
     partition(kg, _.size.toDouble, cumRootFBoundaries(hist, h))
   }
 
   /** Oracle Stratification: cum √F on the (discretized) true cluster accuracy. */
-  def oracleStrata(kg: KGSummary, h: Int): Seq[StratumPop] = {
+  def oracleStrata(kg: KGSummary, h: Int): Seq[KGSummary] = {
     def disc(c: Cluster): Double = math.round(c.accuracy * 20) / 20.0
     val hist = kg.clusters.groupBy(disc).map { case (a, cs) => (a, cs.length.toLong) }.toSeq
     partition(kg, disc, cumRootFBoundaries(hist, h))
   }
 
   /** Triple weight W_h of each stratum (sums to 1). */
-  def weights(strata: Seq[StratumPop]): Seq[Double] = {
-    val m = strata.map(_.kg.numTriples).sum.toDouble
-    strata.map(_.kg.numTriples / m)
+  def weights(strata: Seq[KGSummary]): Seq[Double] = {
+    val m = strata.map(_.numTriples).sum.toDouble
+    strata.map(_.numTriples / m)
   }
 }

@@ -148,7 +148,6 @@ object Experiments {
 
   def table6(): (Seq[Table6Row], Seq[String]) = {
     val (trials, kgEvalReps, seed) = (200, 3, 3001L)
-    val cost = CostModel.default
     val kgs = Seq(("NELL", KGData.nellLaw(KGData.NellSeed), ExpData.Nell),
                   ("YAGO", KGData.yagoLaw(KGData.YagoSeed), ExpData.Yago))
     val rows = kgs.flatMap { case (kgName, law, kg) =>
@@ -157,7 +156,7 @@ object Experiments {
       val kge = (0 until kgEvalReps).map(r => KGEval.run(triples, seed = seed + r))
       // KGEval's annotation set is triple-level: every seed is its own
       // entity-identification task (Eq 4 with |E'| = |G'| = #seeds).
-      val kgeHours  = Stats.mean(kge.map(r => cost.seconds(r.annotated.toLong, r.annotated.toLong) / 3600.0))
+      val kgeHours  = Stats.mean(kge.map(r => CostModel.seconds(r.annotated.toLong, r.annotated.toLong) / 3600.0))
       val kgeMachine = Stats.mean(kge.map(_.machineMillis.toDouble))
       val kgeAnnot  = Stats.mean(kge.map(_.annotated.toDouble))
       val kgeEst    = Stats.mean(kge.map(_.estimate))
@@ -173,7 +172,7 @@ object Experiments {
         Table6Row(kgName, "TWCS", twcsMachine, twcs.meanTriples, twcs.meanCostHours, twcs.meanEstimate))
     }
     val lines = Seq(f"${"KG"}%-6s ${"method"}%-8s ${"machine(ms)"}%12s ${"#annotated"}%11s ${"hours"}%7s ${"estimate"}%9s") ++
-      rows.map(r => f"${r.kg}%-6s ${r.method}%-8s ${r.machineMillis}%12.1f ${r.annotated}%11.1f ${r.hours}%7.2f ${pctS(r.estimate)}%9s")
+      rows.map(r => f"${r.kg}%-6s ${r.method}%-8s ${r.machineMillis}%12.3f ${r.annotated}%11.1f ${r.hours}%7.2f ${pctS(r.estimate)}%9s")
     (rows, lines)
   }
 
@@ -218,45 +217,56 @@ object Experiments {
   /** Σ τ_i: the correct triples of `clusters`. */
   private def correctTriples(clusters: Array[Cluster]): Long = clusters.iterator.map(_.tau.toLong).sum
 
-  /** RS with |R| set by a static TWCS run on the base KG, its reservoir built. */
-  private def reservoirOn(base: KGSummary, rng: Random, bias: Double): ReservoirEvaluator = {
-    val (cfg, m) = (DefaultCfg, EvolvingM)
-    val init = StaticEval.twcs(base, m, cfg, rng)
-    val ev = new ReservoirEvaluator(math.max(cfg.minClusterDraws, init.clusterDraws),
-      m, cfg, rng, initBias = bias)
+  /** An evolving evaluator's start: given the base KG, the run's RNG and the
+    * injected initial bias, it builds the evaluator on the base KG and returns
+    * its update function.
+    */
+  private type Start = (KGSummary, Random, Double) => Array[Cluster] => SnapshotResult
+
+  /** Baseline re-evaluates the whole KG on every update, so it takes no bias. */
+  private val baselineStart: Start = (base, rng, _) => {
+    val ev = new BaselineEvaluator(EvolvingM, DefaultCfg, rng)
     ev.initialize(base)
-    ev
+    ev.applyUpdate
+  }
+
+  /** RS with |R| set by a static TWCS run on the base KG, its reservoir built. */
+  private val rsStart: Start = (base, rng, bias) => {
+    val init = StaticEval.twcs(base, EvolvingM, DefaultCfg, rng)
+    val ev = new ReservoirEvaluator(math.max(DefaultCfg.minClusterDraws, init.clusterDraws),
+      EvolvingM, DefaultCfg, rng, initBias = bias)
+    ev.initialize(base)
+    ev.applyUpdate
+  }
+
+  private val ssStart: Start = (base, rng, bias) => {
+    val ev = new StratifiedEvaluator(EvolvingM, DefaultCfg, rng, initBias = bias)
+    ev.initialize(base)
+    ev.applyUpdate
   }
 
   /** One single-batch comparison point: mean per-update cost of Baseline / RS
     * / SS over 50 runs, for an update of `sizeFrac`·|base| triples at
-    * accuracy `acc`.
+    * accuracy `acc`. Each run's batch and evaluators draw from one RNG, in
+    * that order.
     */
   private def singleBatchPoint(base: KGSummary, sizeFrac: Double, acc: Double,
                                seed: Long): EvolvingRow = {
-    val (cfg, m, trials) = (DefaultCfg, EvolvingM, 50)
+    val trials = 50
     val baseCorrect = correctTriples(base.clusters)
     var accSum = 0.0
-    val (bs, rs, ss) = (ArrayBuffer[Double](), ArrayBuffer[Double](), ArrayBuffer[Double]())
+    val hours = Seq.fill(3)(ArrayBuffer[Double]())
     for (t <- 0 until trials) {
       val rng = new Random(seed + t)
       val batch = updateBatches(base, sizeFrac, acc, rng).next()
-
-      val baseline = new BaselineEvaluator(m, cfg, rng)
-      baseline.initialize(base)
-      bs += baseline.applyUpdate(batch).costHours
-
-      rs += reservoirOn(base, rng, 0.0).applyUpdate(batch).costHours
-
-      val strat = new StratifiedEvaluator(m, cfg, rng)
-      strat.initialize(base)
-      ss += strat.applyUpdate(batch).costHours
-
+      Seq(baselineStart, rsStart, ssStart).zip(hours).foreach { case (start, h) =>
+        h += start(base, rng, 0.0)(batch).costHours
+      }
       accSum += (baseCorrect + correctTriples(batch)).toDouble /
         (base.numTriples + batch.map(_.size.toLong).sum)
     }
-    EvolvingRow(f"size=${sizeFrac * 100}%.0f%% acc=${acc * 100}%.0f%%",
-      Stats.mean(bs.toSeq), Stats.mean(rs.toSeq), Stats.mean(ss.toSeq), accSum / trials)
+    val Seq(bs, rs, ss) = hours.map(h => Stats.mean(h.toSeq))
+    EvolvingRow(f"size=${sizeFrac * 100}%.0f%% acc=${acc * 100}%.0f%%", bs, rs, ss, accSum / trials)
   }
 
   def evolvingSingleBatch(): (Seq[EvolvingRow], Seq[String]) = {
@@ -277,12 +287,6 @@ object Experiments {
   /** Sequence-of-updates result: per-batch estimates and truth. */
   final case class SequenceRun(estimates: Seq[Double], truths: Seq[Double])
 
-  /** An evolving evaluator's start: given the run's RNG and the injected
-    * initial bias, it builds the evaluator on the base KG and returns its
-    * update function.
-    */
-  private type Start = (Random, Double) => Array[Cluster] => SnapshotResult
-
   /** Apply [[SequenceBatches]] 10%-of-base updates (accuracy [[SequenceAcc]])
     * to the evaluator that `start` builds and record every snapshot estimate,
     * optionally starting from an injected bad estimate (`bias` ≈ ±0.07 as in
@@ -291,7 +295,7 @@ object Experiments {
   private def sequenceRun(base: KGSummary, start: Start, bias: Double,
                           seed: Long): SequenceRun = {
     val rng = new Random(seed)
-    val update = start(rng, bias)
+    val update = start(base, rng, bias)
     val updates = updateBatches(base, 0.1, SequenceAcc, rng)
     var triples = base.numTriples
     var correct = correctTriples(base.clusters)
@@ -316,12 +320,6 @@ object Experiments {
       (Map[String, Seq[Double]], Map[String, (Seq[Double], Double)], Seq[String]) = {
     val (runs, faultRuns, seed) = (20, 20, 6001L)
     val base = ExpData.MovieHalf
-    val rs: Start = (rng, bias) => reservoirOn(base, rng, bias).applyUpdate
-    val ss: Start = (rng, bias) => {
-      val ev = new StratifiedEvaluator(EvolvingM, DefaultCfg, rng, initBias = bias)
-      ev.initialize(base)
-      ev.applyUpdate
-    }
 
     def meanTrajectory(start: Start): Seq[Double] = {
       val trajs = (0 until runs).map(r =>
@@ -345,12 +343,12 @@ object Experiments {
       (traj, volatility)
     }
 
-    val unbiased = Map("RS" -> meanTrajectory(rs), "SS" -> meanTrajectory(ss))
+    val unbiased = Map("RS" -> meanTrajectory(rsStart), "SS" -> meanTrajectory(ssStart))
     val faults = Map(
-      "RS-over"  -> faultStats(rs, +0.07, seed + 7777),
-      "SS-over"  -> faultStats(ss, +0.07, seed + 7777),
-      "RS-under" -> faultStats(rs, -0.07, seed + 8888),
-      "SS-under" -> faultStats(ss, -0.07, seed + 8888))
+      "RS-over"  -> faultStats(rsStart, +0.07, seed + 7777),
+      "SS-over"  -> faultStats(ssStart, +0.07, seed + 7777),
+      "RS-under" -> faultStats(rsStart, -0.07, seed + 8888),
+      "SS-under" -> faultStats(ssStart, -0.07, seed + 8888))
 
     val marks = Seq(0, 4, 9, 19, 29)
     val lines =

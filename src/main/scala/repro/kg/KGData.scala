@@ -10,7 +10,7 @@ import scala.util.Random
 
 /** Synthetic knowledge graphs matched to the data characteristics of Table 3.
   *
-  * Each generator yields a triples DataFrame
+  * Each KG is a [[KGData.Law]] whose `toDF` yields a triples DataFrame
   *   (subject: long, line: int, predicate: string, object: string, label: int)
   * where `label` is the ground-truth correctness (1 = correct). Subjects are
   * dense ids; an entity cluster is the set of rows sharing a subject, and
@@ -72,14 +72,21 @@ object KGData {
     def toDF(spark: SparkSession): DataFrame = toDF(spark.range(1, entities + 1L))
   }
 
-  /** Defaults of the generators below, shared by [[repro.exp.ExpData]]. */
+  /** Seeds and label models of the standard KGs, shared by [[repro.exp.ExpData]]. */
   private[repro] val NellSeed     = 11L
   private[repro] val YagoSeed     = 13L
   private[repro] val MovieSeed    = 17L
   private[repro] val MovieSynSeed = 19L
   private[repro] val MovieModel: LabelModel = LabelModels.REM(0.1)
+  /** MOVIE-SYN: MOVIE-like sizes with Binomial-Mixture labels (Eq 15), BMM(c = 0.01, σ = 0.1, k = 3). */
   private[repro] val MovieSynModel: LabelModel = LabelModels.BMM(0.01, 0.1)
 
+  /** NELL-like: 817 entities, ≈1.9K triples, ≈98% of clusters of size <= 4
+    * with a thin 5..30 tail (mean ≈2.3). Labels: per-cluster accuracy
+    * clamp(N(0.97, 0.17²)) -> overall ≈91%, heterogeneous and independent of
+    * size. Small predicate/object vocabularies (domain-specific KG) give the
+    * dense coupling KGEval needs.
+    */
   private[repro] def nellLaw(seed: Long): Law =
     Law(817, rng => if (rng.nextDouble() < 0.98) {
       val r = rng.nextDouble()
@@ -87,6 +94,9 @@ object KGData {
     } else 5 + rng.nextInt(26),
       LabelModels.NoisyCluster(0.97, 0.17), nPred = 8, nObj = 40, objConcentration = 1.5, seed)
 
+  /** YAGO-like: 822 entities, ≈1.4K triples (mean cluster ≈1.7), REM p=0.99.
+    * Broader vocabularies (general-domain KG) => sparser coupling graph.
+    */
   private[repro] def yagoLaw(seed: Long): Law =
     Law(822, rng => {
       val r = rng.nextDouble()
@@ -97,31 +107,12 @@ object KGData {
     Law(math.max(1L, math.round(288770 * scale)).toInt, LocalKGGen.movieSize, model,
         nPred = 12, nObj = 1000000, objConcentration = 1.0, seed)
 
-  /** NELL-like: 817 entities, ≈1.9K triples, ≈98% of clusters of size <= 4
-    * with a thin 5..30 tail (mean ≈2.3). Labels: per-cluster accuracy
-    * clamp(N(0.97, 0.17²)) -> overall ≈91%, heterogeneous and independent of
-    * size. Small predicate/object vocabularies (domain-specific KG) give the
-    * dense coupling KGEval needs.
-    */
-  def nellLike(spark: SparkSession, seed: Long = NellSeed): DataFrame = nellLaw(seed).toDF(spark)
-
-  /** YAGO-like: 822 entities, ≈1.4K triples (mean cluster ≈1.7), REM p=0.99.
-    * Broader vocabularies (general-domain KG) => sparser coupling graph.
-    */
-  def yagoLike(spark: SparkSession, seed: Long = YagoSeed): DataFrame = yagoLaw(seed).toDF(spark)
-
   /** MOVIE-like: log-normal cluster sizes (mean ≈9, heavy tail into the
     * thousands); at scale=1.0, 288,770 entities / ≈2.6M triples. Default
     * labels REM(0.1) -> 90% overall, matching MOVIE's measured gold accuracy.
     */
   def movieLike(spark: SparkSession, scale: Double = 1.0, seed: Long = MovieSeed): DataFrame =
     movieLaw(scale, MovieModel, seed).toDF(spark)
-
-  /** MOVIE-SYN: MOVIE-like sizes with Binomial-Mixture labels (Eq 15),
-    * BMM(c = 0.01, σ = 0.1, k = 3).
-    */
-  def movieSyn(spark: SparkSession, scale: Double = 1.0): DataFrame =
-    movieLaw(scale, MovieSynModel, MovieSynSeed).toDF(spark)
 }
 
 /** The per-cluster law of every KG, and MOVIE-like evolving-KG update

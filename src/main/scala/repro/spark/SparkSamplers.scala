@@ -14,7 +14,7 @@ import repro.core.{Cluster, KGSummary, LocalSamplers}
   * size, as `KGData` generates them; extra columns (predicate, object) pass
   * through.
   *
-  * The WCS/RCS/TWCS first stage is drawn on the driver by `LocalSamplers`,
+  * The RCS/TWCS first stage is drawn on the driver by `LocalSamplers`,
   * the code the Monte-Carlo path runs, over `KGSummary.fromTriples`, and the
   * TWCS second-stage lines by a seeded driver `Random`; Spark only fetches
   * the drawn triples. SRS triples and A-Res keys are a seeded `xxhash64` of
@@ -59,22 +59,17 @@ object SparkSamplers {
     Seq.fill(n)(draw(kg, rng).cluster)
   }
 
-  /** The drawn clusters as a local (draw_id, subject) DataFrame, in draw order. */
-  private def asDraws(triples: DataFrame, clusters: Seq[Cluster]): DataFrame = {
+  /** n uniform (unweighted) cluster draws with replacement, as a local
+    * (draw_id, subject) DataFrame in draw order.
+    */
+  def rcsClusterDraws(triples: DataFrame, n: Int, seed: Long): DataFrame = {
     import triples.sparkSession.implicits._
-    clusters.zipWithIndex.map { case (c, i) => (i.toLong, c.id) }.toDF("draw_id", "subject")
+    clusterDraws(triples, n, seed)(LocalSamplers.rcsDraw).zipWithIndex
+      .map { case (c, i) => (i.toLong, c.id) }.toDF("draw_id", "subject")
   }
 
-  /** n with-replacement cluster draws with P(cluster i) = M_i/M, as (draw_id, subject). */
-  def wcsClusterDraws(triples: DataFrame, n: Int, seed: Long): DataFrame =
-    asDraws(triples, clusterDraws(triples, n, seed)(LocalSamplers.wcsDraw))
-
-  /** n uniform (unweighted) cluster draws with replacement, as (draw_id, subject). */
-  def rcsClusterDraws(triples: DataFrame, n: Int, seed: Long): DataFrame =
-    asDraws(triples, clusterDraws(triples, n, seed)(LocalSamplers.rcsDraw))
-
   /** All triples of the drawn clusters, tagged by draw: the annotation set of
-    * RCS/WCS. Duplicate first-stage draws of a cluster yield duplicate rows
+    * RCS. Duplicate first-stage draws of a cluster yield duplicate rows
     * on purpose — each draw is an independent Hansen–Hurwitz replicate. The
     * draws are few, so they are broadcast to the triples' partitions.
     */

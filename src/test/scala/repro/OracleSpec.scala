@@ -10,7 +10,7 @@ import repro.kg.KGData
   */
 class OracleSpec extends SparkSpec {
 
-  private lazy val triples = KGData.nellLike(spark).select(col("subject"), col("label")).cache()
+  private lazy val triples = KGData.nellLaw(KGData.NellSeed).toDF(spark).select(col("subject"), col("label")).cache()
 
   private val summarySql =
     "SELECT CAST(subject AS BIGINT) AS subject, COUNT(*) AS size, " +

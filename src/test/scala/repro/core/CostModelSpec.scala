@@ -5,23 +5,18 @@ import org.scalatest.funsuite.AnyFunSuite
 class CostModelSpec extends AnyFunSuite {
 
   test("default constants are the paper's fitted c1=45s, c2=25s") {
-    assert(CostModel.default.c1 == 45.0 && CostModel.default.c2 == 25.0)
+    assert(CostModel.c1 == 45.0 && CostModel.c2 == 25.0)
   }
 
   test("Eq 4 on the paper's TWCS task: 24 entities / 178 triples ≈ 1.54 hours") {
     // §7.1.3: (24*45 + 178*25)/3600 ≈ 1.54
-    assert(math.abs(CostModel.default.hours(24, 178) - 1.536) < 0.01)
+    assert(math.abs(CostModel.seconds(24, 178) / 3600 - 1.536) < 0.01)
   }
 
   test("Eq 4 on the paper's SRS task: 174 entities / 174 triples") {
     // 174*(45+25)/3600 = 3.383h (the paper's §7.1.3 prose rounds this to 3.86,
     // but Eq 4 with c1=45, c2=25 gives 3.38 — we implement the equation).
-    assert(math.abs(CostModel.default.hours(174, 174) - 3.3833) < 0.001)
-  }
-
-  test("seconds is linear in both terms") {
-    val m = CostModel(c1 = 10, c2 = 1)
-    assert(m.seconds(3, 7) == 37.0)
+    assert(math.abs(CostModel.seconds(174, 174) / 3600 - 3.3833) < 0.001)
   }
 
   test("tracker counts distinct entities once") {

@@ -110,11 +110,4 @@ class EstimatorsSpec extends AnyFunSuite with PropHelper {
   test("varOfMean of fewer than two draws is infinite") {
     assert(Estimators.varOfMean(Seq(0.5)).isPosInfinity)
   }
-
-  // ---- Estimate ----
-
-  test("Estimate exposes CI endpoints") {
-    val e = Estimate(0.9, 0.05)
-    assert(e.ciLow == 0.85 && math.abs(e.ciHigh - 0.95) < 1e-12)
-  }
 }

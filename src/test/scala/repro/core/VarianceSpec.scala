@@ -49,19 +49,6 @@ class VarianceSpec extends AnyFunSuite with PropHelper {
     intercept[IllegalArgumentException](Variance.vOfM(kg, 0))
   }
 
-  test("twcsVariance divides V(m) by the number of first-stage draws") {
-    val kg = KGSummary(Array(Cluster(1, 5, 3), Cluster(2, 7, 7), Cluster(3, 2, 0)))
-    assert(math.abs(Variance.twcsVariance(kg, 10, 3) - Variance.vOfM(kg, 3) / 10) < 1e-15)
-  }
-
-  test("twcsRequiredN shrinks as the MoE target loosens") {
-    val kg = KGSummary(Array(Cluster(1, 5, 3), Cluster(2, 7, 7), Cluster(3, 2, 0),
-      Cluster(4, 9, 4), Cluster(5, 3, 3)))
-    val tight = Variance.twcsRequiredN(kg, 5, eps = 0.02, z95)
-    val loose = Variance.twcsRequiredN(kg, 5, eps = 0.10, z95)
-    assert(tight > loose)
-  }
-
   test("optimalM stays within the searched range") {
     checkProp(Prop.forAll(genKg) { kg =>
       val m = Variance.optimalM(kg, 0.05, z95)
@@ -78,34 +65,6 @@ class VarianceSpec extends AnyFunSuite with PropHelper {
       Cluster(i.toLong, size, (size * (0.8 + 0.2 * rng.nextDouble())).toInt)
     })
     assert(Variance.optimalM(kg, 0.05, z95) > 1)
-  }
-
-  test("srsRequiredN reproduces the closed form at 90% accuracy") {
-    // n = 0.9*0.1*1.96^2/0.05^2 = 138.3 -> 139
-    assert(Variance.srsRequiredN(0.9, 0.05, z95) == 139)
-  }
-
-  test("srsRequiredN peaks at 50% accuracy") {
-    val ns = Seq(0.1, 0.3, 0.5, 0.7, 0.9).map(mu => Variance.srsRequiredN(mu, 0.05, z95))
-    assert(ns(2) == ns.max)
-  }
-
-  test("srsExpectedEntities is bounded by min(n_s, N) and positive") {
-    checkProp(Prop.forAll(genKg, Gen.choose(1, 200)) { (kg, ns) =>
-      val e = Variance.srsExpectedEntities(kg, ns)
-      e > 0 && e <= math.min(ns, kg.numClusters) + 1e-9
-    })
-  }
-
-  test("srsExpectedEntities approaches N as the sample grows") {
-    val kg = KGSummary(Array.tabulate(20)(i => Cluster(i.toLong, 2, 1)))
-    assert(Variance.srsExpectedEntities(kg, 10000) > 19.99)
-  }
-
-  test("srsExpectedCost grows monotonically with the sample size") {
-    val kg = KGSummary(Array.tabulate(50)(i => Cluster(i.toLong, 3, 2)))
-    val costs = Seq(10, 50, 100, 200).map(Variance.srsExpectedCost(kg, _))
-    assert(costs == costs.sorted)
   }
 
   test("twcsCostUpperBound at the paper's constants matches n*(c1+m*c2)") {

@@ -10,8 +10,8 @@ import scala.util.Random
 
 class KGDataSpec extends SparkSpec {
 
-  private lazy val nell  = KGSummary.fromTriples(KGData.nellLike(spark))
-  private lazy val yago  = KGSummary.fromTriples(KGData.yagoLike(spark))
+  private lazy val nell  = KGSummary.fromTriples(KGData.nellLaw(KGData.NellSeed).toDF(spark))
+  private lazy val yago  = KGSummary.fromTriples(KGData.yagoLaw(KGData.YagoSeed).toDF(spark))
   private lazy val movie = KGSummary.fromTriples(KGData.movieLike(spark, scale = 0.02))
 
   // ---- NELL-like (Table 3: 817 entities, 1860 triples, avg 2.3, 91%) ----
@@ -81,18 +81,19 @@ class KGDataSpec extends SparkSpec {
   }
 
   test("movieSyn default parameters land near the paper's 62% gold accuracy") {
-    val syn = KGSummary.fromTriples(KGData.movieSyn(spark, scale = 0.05))
+    val syn = KGSummary.fromTriples(
+      KGData.movieLaw(0.05, KGData.MovieSynModel, KGData.MovieSynSeed).toDF(spark))
     assert(syn.accuracy > 0.5 && syn.accuracy < 0.75, s"got ${syn.accuracy}")
   }
 
   test("generators are deterministic in their seed") {
-    val a = KGSummary.fromTriples(KGData.nellLike(spark, seed = 99))
-    val b = KGSummary.fromTriples(KGData.nellLike(spark, seed = 99))
+    val a = KGSummary.fromTriples(KGData.nellLaw(99).toDF(spark))
+    val b = KGSummary.fromTriples(KGData.nellLaw(99).toDF(spark))
     assert(a.numTriples == b.numTriples && a.accuracy == b.accuracy)
   }
 
   test("triples carry the expected schema") {
-    val df = KGData.yagoLike(spark)
+    val df = KGData.yagoLaw(KGData.YagoSeed).toDF(spark)
     assert(df.columns.toSet == Set("subject", "line", "predicate", "object", "label"))
     val labels = df.select("label").distinct().collect().map(_.getInt(0)).toSet
     assert(labels.subsetOf(Set(0, 1)))
@@ -125,7 +126,7 @@ class KGDataSpec extends SparkSpec {
         assert(rows == expected, where)
       }
     }
-    val sparkNell = lawRows(KGData.nellLike(spark))
+    val sparkNell = lawRows(KGData.nellLaw(KGData.NellSeed).toDF(spark))
       .map { case (subject, _, predicate, obj, label) => (subject, predicate, obj, label) }
     assert(sparkNell == ExpData.kgEvalTriples(KGData.nellLaw(KGData.NellSeed))
       .map(t => (t.subject, t.predicate, t.objectV, t.trueLabel)))

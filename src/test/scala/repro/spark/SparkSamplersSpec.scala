@@ -116,21 +116,7 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(Seq(srs, second).forall(_.getMessage.contains("`line`")))
   }
 
-  // ---- WCS / RCS first stage ----
-
-  test("wcsClusterDraws yields one row per draw") {
-    val d = SparkSamplers.wcsClusterDraws(triples, 25, seed = 4)
-    assert(d.count() == 25)
-    assert(d.select("draw_id").distinct().count() == 25)
-  }
-
-  test("wcsClusterDraws frequencies are proportional to cluster size") {
-    val d = SparkSamplers.wcsClusterDraws(triples, 3000, seed = 5)
-      .groupBy("subject").count().collect()
-      .map(r => r.getAs[Long]("subject") -> r.getAs[Long]("count")).toMap
-    assert(math.abs(d(4L) / 3000.0 - 0.5) < 0.04)  // 6/12
-    assert(math.abs(d(1L) / 3000.0 - 1.0 / 12) < 0.03)
-  }
+  // ---- RCS first stage ----
 
   test("rcsClusterDraws frequencies are uniform over clusters") {
     val d = SparkSamplers.rcsClusterDraws(triples, 2000, seed = 6)
@@ -244,7 +230,9 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       val rng = new Random(seed)
       Seq.fill(40)(draw(kg, rng).cluster.id)
     }
-    assert(drawIds(SparkSamplers.wcsClusterDraws(triples, 40, seed = 11)) == local(LocalSamplers.wcsDraw, 11))
+    // TWCS's first stage: its distinct (draw_id, subject) pairs
+    val twcs = SparkSamplers.twcsSample(triples, n = 40, m = 2, seed = 11).select("draw_id", "subject").distinct()
+    assert(drawIds(twcs) == local(LocalSamplers.wcsDraw, 11))
     assert(drawIds(SparkSamplers.rcsClusterDraws(triples, 40, seed = 12)) == local(LocalSamplers.rcsDraw, 12))
   }
 
