@@ -10,9 +10,7 @@ import repro.jobs.JobSession
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). The session is `kgbench`'s own (`JobSession.build`): automatic
-  * broadcast joins are off, so joins exercise the shuffle path at SF~=0.1,
-  * and a query that needs a broadcast asks for it with a hint.
+  * limit). The session is `kgbench`'s own (`JobSession.build`).
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

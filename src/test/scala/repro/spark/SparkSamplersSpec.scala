@@ -134,6 +134,13 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(x.groupBy("draw_id").count().collect().forall(_.getAs[Long]("count") == 6))
   }
 
+  test("expandDraws is the inner join of the draws and the triples on subject (oracle)") {
+    val draws = Seq((0L, 3L), (1L, 1L), (2L, 3L), (3L, 9L), (4L, 4L)).toDF("draw_id", "subject")
+    val x = SparkSamplers.expandDraws(draws, triples)
+    assert(x.columns.toSeq == Seq("subject", "draw_id", "line", "predicate", "object", "label"))
+    Oracle.assertEquivalent(x, "SELECT * FROM d JOIN t USING (subject)", "d" -> draws, "t" -> triples)
+  }
+
   // ---- TWCS second stage ----
 
   test("twcsSample annotates at most m triples per draw, all from one cluster") {
@@ -266,8 +273,8 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       val single = singlePartitionOps(df)
       assert(single.isEmpty, s"$name: ${single.mkString("; ")}")
     }
-    // after the cluster summary, Spark only fetches rows: TWCS and RCS broadcast-join the
-    // driver's draws, SRS is a top-n over the triples, and A-Res keys a cached summary row by row
+    // after the cluster summary, Spark only fetches rows: TWCS and RCS filter the triples by the
+    // driver's drawn subjects, SRS is a top-n over the triples, and A-Res keys a cached summary row by row
     val cached = summary.cache()
     (plans.filter(_._1 != "reservoir") :+ ("aResKeys" -> SparkSamplers.aResKeys(cached, seed = 16))).foreach {
       case (name, df) => assert(shuffles(df).isEmpty, s"$name shuffles: ${shuffles(df).mkString("; ")}")
@@ -355,8 +362,10 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val t = kg.cache()
     t.count()
     assert(calls(t, seed = 44) == ((twcsJobs, rcsJobs - summaryJobs)), "a persisted frame's first calls")
-    assert(calls(t, seed = 46) == ((twcsJobs - summaryJobs, rcsJobs - summaryJobs)),
-      "a persisted frame's second calls")
+    val second = calls(t, seed = 46)
+    assert(second == ((twcsJobs - summaryJobs, rcsJobs - summaryJobs)), "a persisted frame's second calls")
+    assert(second == ((1, 1)), "one job per TWCS and per RCS call on a persisted frame")
+    assert(jobs(SparkSamplers.rcsClusterDraws(t, 30, seed = 47).collect()) == 0, "the local draws frame")
     assert(jobs(KGSummary.fromTriples(t)) == 0)
     assert(KGSummary.fromTriples(t).clusters.toSeq == fresh.clusters.toSeq)
     // unpersisted: aggregated again
@@ -367,13 +376,21 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("a new seed compiles no new code") {
     val summary = SparkSamplers.clusterSummary(triples).cache()
+    val kg = KGData.movieLike(spark, scale = 0.02, seed = 31).cache()
     def srs(seed: Long) = SparkSamplers.srsTriples(triples, 5, seed).collect()
     def reservoir(seed: Long) = SparkSamplers.reservoirMerge(
       SparkSamplers.aResKeys(summary, seed), SparkSamplers.aResKeys(summary, seed + 1), 3).collect()
+    // 30 draws name more than 10 subjects, so the subject filter is an `InSet`, held by reference
+    def subjects(rows: Array[Row]) = rows.map(_.getAs[Long]("subject")).distinct.length
+    def twcs(seed: Long) = subjects(SparkSamplers.twcsSample(kg, n = 30, m = 3, seed).collect())
+    def rcs(seed: Long) =
+      subjects(SparkSamplers.expandDraws(SparkSamplers.rcsClusterDraws(kg, 30, seed), kg).collect())
     srs(50); reservoir(50)
+    assert(twcs(50) > 10 && rcs(50) > 10)
     val compiled = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
-    (1 to 5).foreach { i => srs(50 + i); reservoir(60 + 2 * i) }
+    (1 to 5).foreach { i => srs(50 + i); reservoir(60 + 2 * i); assert(twcs(50 + i) > 10 && rcs(50 + i) > 10) }
     assert(CodegenMetrics.METRIC_COMPILATION_TIME.getCount - compiled == 0, "classes compiled for new seeds")
+    kg.unpersist()
     summary.unpersist()
   }
 
