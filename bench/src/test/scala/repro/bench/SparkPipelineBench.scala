@@ -3,7 +3,7 @@ package repro.bench
 import scala.util.Random
 
 import repro.SparkSpec
-import repro.core.{Estimators, KGSummary, LocalSamplers, Stats}
+import repro.core.{Estimators, EvalConfig, KGSummary, LocalSamplers}
 import repro.kg.KGData
 import repro.spark.{SparkEstimators, SparkSamplers}
 
@@ -13,7 +13,7 @@ import repro.spark.{SparkEstimators, SparkSamplers}
   * Monte-Carlo replicates (DESIGN.md §3.4), exercised at SF≈0.1.
   */
 class SparkPipelineBench extends SparkSpec {
-  private val z95 = Stats.zAlpha(0.05)
+  private val z95 = EvalConfig().z
 
   private lazy val triples = KGData.movieLike(spark, scale = 0.1, seed = 23).cache()
   private lazy val kg      = KGSummary.fromTriples(triples)

@@ -32,35 +32,26 @@ object Estimators {
     Estimate(Stats.mean(values), z * math.sqrt(varOfMean(values)))
   }
 
-  /** One stratum's contribution: weight W_h, estimate μ̂_h and Var̂(μ̂_h). */
-  final case class Stratum(weight: Double, estimate: Double, varOfEstimate: Double)
-
-  /** Stratified combination (Eq 13): μ̂_ss = Σ W_h μ̂_h,
-    * MoE = z·sqrt(Σ W_h² Var̂(μ̂_h)).
+  /** Stratified combination (Eq 13) over per-stratum mean-of-draws
+    * estimators, given each stratum's triple count |G_h| and draw values:
+    * μ̂_ss = Σ W_h μ̂_h and MoE = z·sqrt(Σ W_h² Var̂(μ̂_h)), with
+    * W_h = |G_h| / Σ|G_h|, μ̂_h the mean of the draws and Var̂(μ̂_h) their
+    * [[varOfMean]]. A stratum with no draws yet counts the midpoint of its
+    * [0, 1] range with infinite variance.
     */
-  def stratified(strata: Seq[Stratum], z: Double): Estimate = {
+  def stratifiedDraws(strata: Seq[(Long, Seq[Double])], z: Double): Estimate = {
     require(strata.nonEmpty, "no strata")
-    val wSum = strata.map(_.weight).sum
-    require(math.abs(wSum - 1.0) < 1e-9, s"stratum weights sum to $wSum, expected 1")
-    val mu  = strata.map(s => s.weight * s.estimate).sum
-    val v   = strata.map(s => s.weight * s.weight * s.varOfEstimate).sum
+    val total = strata.map(_._1).sum.toDouble
+    val parts = strata.map { case (triples, values) =>
+      if (values.isEmpty) (triples / total, 0.5, Double.PositiveInfinity)
+      else (triples / total, Stats.mean(values), varOfMean(values))
+    }
+    val mu = parts.map { case (w, muH, _) => w * muH }.sum
+    val v  = parts.map { case (w, _, varH) => w * w * varH }.sum
     Estimate(mu, z * math.sqrt(v))
   }
 
-  /** Eq 13 over per-stratum mean-of-draws estimators, given each stratum's
-    * triple count |G_h| and draw values: W_h = |G_h| / Σ|G_h|, μ̂_h the mean of
-    * the draws and Var̂(μ̂_h) their [[varOfMean]]. A stratum with no draws yet
-    * counts the midpoint of its [0, 1] range with infinite variance.
-    */
-  def stratifiedDraws(strata: Seq[(Long, Seq[Double])], z: Double): Estimate = {
-    val total = strata.map(_._1).sum.toDouble
-    stratified(strata.map { case (triples, values) =>
-      if (values.isEmpty) Stratum(triples / total, 0.5, Double.PositiveInfinity)
-      else Stratum(triples / total, Stats.mean(values), varOfMean(values))
-    }, z)
-  }
-
-  /** Var̂ of a mean-of-draws estimator, for feeding [[stratified]]. */
+  /** Var̂ of a mean-of-draws estimator: s²/n, infinite below two draws. */
   def varOfMean(values: Seq[Double]): Double = {
     val n = values.size
     if (n < 2) Double.PositiveInfinity else Stats.sampleVariance(values) / n

@@ -32,17 +32,12 @@ object Variance {
     (between + within / m) / kg.numTriples
   }
 
-  /** Upper-bound TWCS cost in seconds (Eq 11/12): n·c1 + n·m·c2 with n = V(m)z²/ε².
-    * "Upper bound" = assumes every sampled cluster has at least m triples.
+  /** Optimal second-stage size m* minimizing the Eq (12) cost bound
+    * n(m)·(c1 + m·c2), found by linear search over the (small, discrete)
+    * candidates 1..20. n(m) = V(m)·z²/ε² and the factor z²/ε² is the same
+    * for every m, so the search minimizes V(m)·(c1 + m·c2): m* depends on
+    * neither ε nor z.
     */
-  def twcsCostUpperBound(kg: KGSummary, m: Int, eps: Double, z: Double): Double = {
-    val n = vOfM(kg, m) * z * z / (eps * eps)
-    n * (CostModel.c1 + m * CostModel.c2)
-  }
-
-  /** Optimal second-stage size m* minimizing the Eq (12) cost bound, found by
-    * linear search over the (small, discrete) candidates 1..20.
-    */
-  def optimalM(kg: KGSummary, eps: Double, z: Double): Int =
-    (1 to 20).minBy(m => twcsCostUpperBound(kg, m, eps, z))
+  def optimalM(kg: KGSummary): Int =
+    (1 to 20).minBy(m => vOfM(kg, m) * (CostModel.c1 + m * CostModel.c2))
 }

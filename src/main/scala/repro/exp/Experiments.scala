@@ -80,8 +80,7 @@ object Experiments {
     (results, lines)
   }
 
-  def optimalM(kg: KGSummary): Int =
-    Variance.optimalM(kg, DefaultCfg.eps, DefaultCfg.z)
+  def optimalM(kg: KGSummary): Int = Variance.optimalM(kg)
 
   /** Table 5 — SRS / RCS / WCS / TWCS(m*) on MOVIE, NELL and YAGO. MOVIE runs
     * 100 trials, and RCS and WCS stop there at 5 hours, as in the paper.

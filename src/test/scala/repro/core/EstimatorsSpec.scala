@@ -6,7 +6,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.PropHelper
 
 class EstimatorsSpec extends AnyFunSuite with PropHelper {
-  private val z95 = Stats.zAlpha(0.05)
+  private val z95 = EvalConfig().z
 
   // ---- SRS (Eq 5) ----
 
@@ -71,33 +71,47 @@ class EstimatorsSpec extends AnyFunSuite with PropHelper {
   // ---- stratified combination (Eq 13) ----
 
   test("stratified combines estimates by stratum weight") {
-    val e = Estimators.stratified(Seq(
-      Estimators.Stratum(0.75, 0.9, 0.0),
-      Estimators.Stratum(0.25, 0.5, 0.0)), z95)
+    // |G_h| = 3 and 1 give W_h = 0.75 and 0.25; agreeing draws have variance 0
+    val e = Estimators.stratifiedDraws(Seq(3L -> Seq(0.9, 0.9), 1L -> Seq(0.5, 0.5)), z95)
     assert(math.abs(e.value - 0.8) < 1e-12)
     assert(e.moe == 0.0)
   }
 
   test("stratified MoE matches z*sqrt(sum W_h^2 Var_h)") {
-    val e = Estimators.stratified(Seq(
-      Estimators.Stratum(0.6, 0.9, 0.01),
-      Estimators.Stratum(0.4, 0.5, 0.04)), z95)
-    assert(math.abs(e.moe - z95 * math.sqrt(0.36 * 0.01 + 0.16 * 0.04)) < 1e-12)
-  }
-
-  test("stratified rejects weights that do not sum to 1") {
-    intercept[IllegalArgumentException](
-      Estimators.stratified(Seq(Estimators.Stratum(0.5, 0.9, 0.0)), z95))
+    val (vs1, vs2) = (Seq(1.0, 0.8, 0.9), Seq(0.2, 0.8, 0.5, 0.5))
+    val e = Estimators.stratifiedDraws(Seq(6L -> vs1, 4L -> vs2), z95)
+    val v = 0.36 * Stats.sampleVariance(vs1) / 3 + 0.16 * Stats.sampleVariance(vs2) / 4
+    assert(math.abs(e.value - (0.6 * 0.9 + 0.4 * 0.5)) < 1e-12)
+    assert(math.abs(e.moe - z95 * math.sqrt(v)) < 1e-12)
   }
 
   test("stratified rejects empty strata") {
-    intercept[IllegalArgumentException](Estimators.stratified(Seq.empty, z95))
+    intercept[IllegalArgumentException](Estimators.stratifiedDraws(Seq.empty, z95))
   }
 
   test("single full-weight stratum reduces to its own estimate") {
-    val e = Estimators.stratified(Seq(Estimators.Stratum(1.0, 0.77, 0.0004)), z95)
-    assert(e.value == 0.77)
+    val e = Estimators.stratifiedDraws(Seq(50L -> Seq(0.75, 0.79)), z95)
+    assert(math.abs(e.value - 0.77) < 1e-12)
     assert(math.abs(e.moe - z95 * 0.02) < 1e-12)
+  }
+
+  test("a stratum with no draws counts the midpoint 0.5 with infinite MoE") {
+    // a budget-starved stratified TWCS allocation leaves a stratum undrawn
+    val alone = Estimators.stratifiedDraws(Seq(40L -> Seq.empty), z95)
+    assert(alone.value == 0.5 && alone.moe.isPosInfinity)
+    val mixed = Estimators.stratifiedDraws(Seq(30L -> Seq(0.9, 0.7), 10L -> Seq.empty), z95)
+    assert(math.abs(mixed.value - (0.75 * 0.8 + 0.25 * 0.5)) < 1e-12)
+    assert(mixed.moe.isPosInfinity)
+  }
+
+  test("property: one stratum gives exactly meanOfDraws of the same values") {
+    val gen = for {
+      triples <- Gen.choose(1L, 100000L)
+      values  <- Gen.nonEmptyListOf(Gen.choose(0.0, 1.0))
+    } yield (triples, values)
+    checkProp(Prop.forAll(gen) { case (triples, values) =>
+      Estimators.stratifiedDraws(Seq(triples -> values), z95) == Estimators.meanOfDraws(values, z95)
+    })
   }
 
   // ---- varOfMean ----

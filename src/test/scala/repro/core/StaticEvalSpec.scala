@@ -22,6 +22,11 @@ class StaticEvalSpec extends AnyFunSuite {
 
   private val cfg = EvalConfig()
 
+  test("EvalConfig's z is the classic 1.96") {
+    // the exact 0.975 Normal quantile; z is Acklam's approximation of it
+    assert(math.abs(cfg.z - 1.959963984540054) < 2e-9)
+  }
+
   test("srs run satisfies the MoE stop rule") {
     val r = StaticEval.srs(kg, cfg, new Random(1))
     assert(r.converged && r.moe <= cfg.eps)

@@ -9,46 +9,6 @@ import scala.util.Random
 
 class StatsSpec extends AnyFunSuite with PropHelper {
 
-  // ---- normal quantile ----
-
-  test("zAlpha(0.05) is the classic 1.96") {
-    assert(math.abs(Stats.zAlpha(0.05) - 1.959964) < 1e-4)
-  }
-
-  test("zAlpha(0.01) is 2.5758") {
-    assert(math.abs(Stats.zAlpha(0.01) - 2.575829) < 1e-4)
-  }
-
-  test("zAlpha(0.10) is 1.6449") {
-    assert(math.abs(Stats.zAlpha(0.10) - 1.644854) < 1e-4)
-  }
-
-  test("normalQuantile(0.5) is 0") {
-    assert(math.abs(Stats.normalQuantile(0.5)) < 1e-9)
-  }
-
-  test("normalQuantile handles extreme tails") {
-    assert(Stats.normalQuantile(1e-10) < -6)
-    assert(Stats.normalQuantile(1 - 1e-10) > 6)
-  }
-
-  test("normalQuantile rejects p outside (0,1)") {
-    intercept[IllegalArgumentException](Stats.normalQuantile(0.0))
-    intercept[IllegalArgumentException](Stats.normalQuantile(1.0))
-  }
-
-  test("property: quantile is antisymmetric around 0.5") {
-    checkProp(Prop.forAll(Gen.choose(0.001, 0.999)) { p =>
-      math.abs(Stats.normalQuantile(p) + Stats.normalQuantile(1 - p)) < 1e-6
-    })
-  }
-
-  test("property: quantile is monotone") {
-    checkProp(Prop.forAll(Gen.choose(0.001, 0.998), Gen.choose(0.0005, 0.001)) { (p, d) =>
-      Stats.normalQuantile(p + d) >= Stats.normalQuantile(p)
-    })
-  }
-
   // ---- mean / variance ----
 
   test("mean of known values") {

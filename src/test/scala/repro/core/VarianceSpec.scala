@@ -6,8 +6,6 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.PropHelper
 
 class VarianceSpec extends AnyFunSuite with PropHelper {
-  private val z95 = Stats.zAlpha(0.05)
-
   private val genKg: Gen[KGSummary] = for {
     n        <- Gen.choose(3, 40)
     clusters <- Gen.listOfN(n, for {
@@ -51,7 +49,7 @@ class VarianceSpec extends AnyFunSuite with PropHelper {
 
   test("optimalM stays within the searched range") {
     checkProp(Prop.forAll(genKg) { kg =>
-      val m = Variance.optimalM(kg, 0.05, z95)
+      val m = Variance.optimalM(kg)
       m >= 1 && m <= 20
     }, minTests = 30)
   }
@@ -64,13 +62,6 @@ class VarianceSpec extends AnyFunSuite with PropHelper {
       val size = 20 + rng.nextInt(30)
       Cluster(i.toLong, size, (size * (0.8 + 0.2 * rng.nextDouble())).toInt)
     })
-    assert(Variance.optimalM(kg, 0.05, z95) > 1)
-  }
-
-  test("twcsCostUpperBound at the paper's constants matches n*(c1+m*c2)") {
-    val kg = KGSummary(Array(Cluster(1, 10, 6), Cluster(2, 10, 10), Cluster(3, 10, 3)))
-    val m = 4
-    val n = Variance.vOfM(kg, m) * z95 * z95 / (0.05 * 0.05)
-    assert(math.abs(Variance.twcsCostUpperBound(kg, m, 0.05, z95) - n * (45 + 4 * 25)) < 1e-9)
+    assert(Variance.optimalM(kg) > 1)
   }
 }

@@ -17,6 +17,15 @@ class ExperimentsSpec extends AnyFunSuite {
       "TWCS(m=10)       17.2    150.0   1.26     91.5%"))
   }
 
+  test("optimalM gives each standard KG's m*") {
+    // Eq 12's m*, which Tables 5-7 run with; Table 5 prints MOVIE's, NELL's and YAGO's
+    assert(Experiments.optimalM(ExpData.Nell) == 2)
+    assert(Experiments.optimalM(ExpData.Yago) == 2)
+    assert(Experiments.optimalM(ExpData.Movie) == 5)
+    assert(Experiments.optimalM(ExpData.MovieSyn) == 3)
+    assert(Experiments.optimalM(ExpData.MovieHalf) == 5)
+  }
+
   test("Fig 8's single-batch table prints the committed rows") {
     // Baseline, RS and SS each start from the batch's RNG, in that order
     val (rows, lines) = Experiments.evolvingSingleBatch()

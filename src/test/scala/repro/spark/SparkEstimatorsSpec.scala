@@ -3,12 +3,12 @@ package repro.spark
 import org.apache.spark.sql.DataFrame
 
 import repro.SparkSpec
-import repro.core.{Estimators, Stats}
+import repro.core.{EvalConfig, Estimators}
 
 class SparkEstimatorsSpec extends SparkSpec {
   import spark.implicits._
 
-  private val z95 = Stats.zAlpha(0.05)
+  private val z95 = EvalConfig().z
 
   /** Three draws with per-draw means 1.0, 0.5, 2/3. */
   private lazy val sample: DataFrame = Seq(

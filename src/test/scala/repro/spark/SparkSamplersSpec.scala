@@ -16,7 +16,7 @@ import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
-import repro.core.{Estimate, KGSummary, LocalSamplers, Stats}
+import repro.core.{Estimate, EvalConfig, KGSummary, LocalSamplers}
 import repro.kg.KGData
 
 class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
@@ -284,7 +284,7 @@ class SparkSamplersSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("every sample is the same on 1, 3 or 8 partitions of the KG") {
     val kg = KGData.movieLike(spark, scale = 0.02, seed = 31)
-    val z = Stats.zAlpha(0.05)
+    val z = EvalConfig().z
     def rows(df: DataFrame) = df.collect().map(_.toSeq.mkString(",")).sorted.toSeq
     /** Each sample's sorted rows, and the TWCS, SRS and RCS estimates. */
     def samples(parts: Int): (Seq[Seq[String]], Seq[Estimate]) = {
