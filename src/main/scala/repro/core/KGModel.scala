@@ -2,6 +2,8 @@ package repro.core
 
 import java.util.{Collections, WeakHashMap}
 
+import scala.util.Random
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
@@ -29,15 +31,36 @@ final case class KGSummary(clusters: Array[Cluster]) {
 
   /** N — number of entity clusters. */
   val numClusters: Int = clusters.length
+  /** sizePrefix(i) = M_0 + … + M_i; strictly increasing, as every M_i ≥ 1. */
+  private val sizePrefix = new Array[Long](numClusters)
+  private val correctTriples: Long = {
+    var size = 0L
+    var tau  = 0L
+    var i    = 0
+    while (i < numClusters) {
+      size += clusters(i).size; sizePrefix(i) = size; tau += clusters(i).tau; i += 1
+    }
+    tau
+  }
   /** M — total number of triples. */
-  val numTriples: Long = clusters.iterator.map(_.size.toLong).sum
+  val numTriples: Long = sizePrefix(numClusters - 1)
   /** True KG accuracy μ(G) = Σ τ_i / M. */
-  val accuracy: Double = clusters.iterator.map(_.tau.toLong).sum.toDouble / numTriples
+  val accuracy: Double = correctTriples.toDouble / numTriples
   /** Mean cluster size M/N. */
   def meanClusterSize: Double = numTriples.toDouble / numClusters
 
-  /** Weighted index over cluster sizes for draws ∝ M_i. */
-  lazy val sizeWeights: CumulativeWeights = new CumulativeWeights(clusters.map(_.size.toLong))
+  /** Index of a cluster drawn ∝ its size M_i (with replacement), in O(log N). */
+  def sizeWeightedIndex(rng: Random): Int = {
+    val dart = (rng.nextDouble() * numTriples).toLong
+    // first index whose prefix sum exceeds the dart
+    var lo = 0
+    var hi = numClusters - 1
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (sizePrefix(mid) <= dart) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
 }
 
 object KGSummary {

@@ -41,7 +41,7 @@ object LocalSamplers {
       var idx = -1
       var ok  = false
       while (!ok) {
-        idx = kg.sizeWeights.draw(rng)
+        idx = kg.sizeWeightedIndex(rng)
         val rem = kg.clusters(idx).size - drawn(idx)
         // accept ∝ remaining fraction => uniform over remaining triples
         ok = rem > 0 && rng.nextDouble() * kg.clusters(idx).size < rem
@@ -65,7 +65,7 @@ object LocalSamplers {
 
   /** One WCS draw: cluster ∝ size (with replacement), fully annotated. */
   def wcsDraw(kg: KGSummary, rng: Random): ClusterDraw = {
-    val c = kg.clusters(kg.sizeWeights.draw(rng))
+    val c = kg.clusters(kg.sizeWeightedIndex(rng))
     ClusterDraw(c, c.size, c.tau)
   }
 
@@ -74,7 +74,7 @@ object LocalSamplers {
     */
   def twcsDraw(kg: KGSummary, m: Int, rng: Random): ClusterDraw = {
     require(m >= 1)
-    val c = kg.clusters(kg.sizeWeights.draw(rng))
+    val c = kg.clusters(kg.sizeWeightedIndex(rng))
     secondStage(c, m, rng)
   }
 

@@ -149,7 +149,9 @@ object StaticEval {
   def twcsStratified(strata: Seq[KGSummary], m: Int,
                      cfg: EvalConfig, rng: Random): EvalResult = {
     require(strata.nonEmpty)
-    val ws      = Stratification.weights(strata)
+    val kgTriples    = strata.map(_.numTriples)
+    val totalTriples = kgTriples.sum
+    val ws           = kgTriples.map(_ / totalTriples.toDouble) // Eq 13's W_h
     val tracker = new CostTracker()
     val values  = strata.map(_ => ArrayBuffer.empty[Double])
     // variance floor keeps exploring strata whose few draws happened to agree
@@ -171,8 +173,6 @@ object StaticEval {
       (0 until minPerStratum).foreach(_ => if (tracker.seconds < cfg.maxCostSeconds) drawIn(h))
     }
 
-    val kgTriples = strata.map(_.numTriples)
-    val totalTriples = kgTriples.sum
     def totalDraws: Int = values.map(_.size).sum
     val est = iterate(cfg, tracker, cfg.clusterBatch, cfg.minClusterDraws, cfg.minTriples,
                       totalDraws, totalTriples) {

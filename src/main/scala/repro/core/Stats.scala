@@ -44,36 +44,3 @@ object Stats {
     hits
   }
 }
-
-/** O(log N) weighted index: draws an index with probability weight(i)/sum(weights).
-  * Used for with-replacement cluster draws proportional to cluster size.
-  */
-final class CumulativeWeights(weights: Array[Long]) {
-  require(weights.nonEmpty, "no weights")
-  private val cum: Array[Long] = {
-    val out = new Array[Long](weights.length)
-    var acc = 0L
-    var i = 0
-    while (i < weights.length) {
-      require(weights(i) > 0, s"non-positive weight at $i")
-      acc += weights(i); out(i) = acc; i += 1
-    }
-    out
-  }
-
-  /** Total weight. */
-  val total: Long = cum.last
-
-  /** Index i with P(i) = weights(i)/total. */
-  def draw(rng: Random): Int = {
-    val dart = (rng.nextDouble() * total).toLong
-    // first index whose cumulative weight exceeds the dart
-    var lo = 0
-    var hi = cum.length - 1
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (cum(mid) <= dart) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
-}

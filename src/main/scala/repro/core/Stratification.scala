@@ -70,10 +70,4 @@ object Stratification {
     val hist = kg.clusters.groupBy(disc).map { case (a, cs) => (a, cs.length.toLong) }.toSeq
     partition(kg, disc, cumRootFBoundaries(hist, h))
   }
-
-  /** Triple weight W_h of each stratum (sums to 1). */
-  def weights(strata: Seq[KGSummary]): Seq[Double] = {
-    val m = strata.map(_.numTriples).sum.toDouble
-    strata.map(_.numTriples / m)
-  }
 }

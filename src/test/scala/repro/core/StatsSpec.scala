@@ -74,35 +74,4 @@ class StatsSpec extends AnyFunSuite with PropHelper {
     intercept[IllegalArgumentException](Stats.hypergeometric(new Random(1), 5, 6, 1))
     intercept[IllegalArgumentException](Stats.hypergeometric(new Random(1), 5, 1, 6))
   }
-
-  // ---- cumulative weights ----
-
-  test("CumulativeWeights total") {
-    assert(new CumulativeWeights(Array(1L, 2L, 3L)).total == 6L)
-  }
-
-  test("CumulativeWeights rejects non-positive weights") {
-    intercept[IllegalArgumentException](new CumulativeWeights(Array(1L, 0L)))
-  }
-
-  test("CumulativeWeights rejects empty") {
-    intercept[IllegalArgumentException](new CumulativeWeights(Array.empty[Long]))
-  }
-
-  test("CumulativeWeights single weight always draws index 0") {
-    val cw = new CumulativeWeights(Array(7L))
-    val rng = new Random(4)
-    assert((1 to 100).forall(_ => cw.draw(rng) == 0))
-  }
-
-  test("CumulativeWeights draw frequencies are proportional to weights") {
-    val cw = new CumulativeWeights(Array(1L, 9L, 90L))
-    val rng = new Random(5)
-    val n = 50000
-    val counts = new Array[Int](3)
-    (1 to n).foreach(_ => counts(cw.draw(rng)) += 1)
-    assert(math.abs(counts(0).toDouble / n - 0.01) < 0.005)
-    assert(math.abs(counts(1).toDouble / n - 0.09) < 0.01)
-    assert(math.abs(counts(2).toDouble / n - 0.90) < 0.01)
-  }
 }

@@ -55,15 +55,6 @@ class StratificationSpec extends AnyFunSuite {
     }
   }
 
-  test("stratum weights sum to one and are triple-proportional") {
-    val strata = sizeStrata(kg, 3)
-    val ws = weights(strata)
-    assert(math.abs(ws.sum - 1.0) < 1e-12)
-    strata.zip(ws).foreach { case (s, w) =>
-      assert(math.abs(w - s.numTriples.toDouble / kg.numTriples) < 1e-12)
-    }
-  }
-
   test("oracle strata separate perfect from imperfect clusters") {
     val strata = oracleStrata(kg, 2)
     assert(strata.size >= 2)

@@ -2,6 +2,8 @@ package repro.exp
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.core.KGSummary
+
 /** Reproduced tables end to end: the seeds and RNG order of each must give
   * its rows in `bench/bench_output.txt`.
   */
@@ -24,6 +26,16 @@ class ExperimentsSpec extends AnyFunSuite {
     assert(Experiments.optimalM(ExpData.Movie) == 5)
     assert(Experiments.optimalM(ExpData.MovieSyn) == 3)
     assert(Experiments.optimalM(ExpData.MovieHalf) == 5)
+  }
+
+  test("the standard KGs have their committed sizes and accuracies") {
+    // (N, M, μ(G)) of each KG that the tables run on; bench's Table 3 prints them
+    def totals(kg: KGSummary) = (kg.numClusters, kg.numTriples, kg.accuracy)
+    assert(totals(ExpData.Nell) == ((817, 1763L, 0.9064095292115711)))
+    assert(totals(ExpData.Yago) == ((822, 1384L, 0.9869942196531792)))
+    assert(totals(ExpData.Movie) == ((288770, 2600461L, 0.9001746228841733)))
+    assert(totals(ExpData.MovieSyn) == ((288770, 2604417L, 0.5858481955846548)))
+    assert(totals(ExpData.MovieHalf) == ((144385, 1303565L, 0.9003049330106285)))
   }
 
   test("Fig 8's single-batch table prints the committed rows") {
